@@ -44,6 +44,7 @@ from .freemod import (
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
+    Elimination,
     buchberger,
     kernel,
     minimal_generators,

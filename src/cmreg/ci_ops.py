@@ -33,10 +33,10 @@ from .freemod import (
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
+    Elimination,
     buchberger,
     divide,
     normal_form,
-    preimage,
     submodule_gb,
 )
 from .rings import QuotientRing
@@ -286,7 +286,9 @@ def induced_on_ext(
     twists = list(zmap2.source.twists) + [
         vec_degree(Ei2.ambient, cvec) for cvec in extra
     ]
-    stacked = map_from_columns(tuple(twists), Ei2.ambient, cols)
+    elim = Elimination(
+        map_from_columns(tuple(twists), Ei2.ambient, cols), degree_cap
+    )
     ngens2 = zmap2.source.rank
     out_cols = []
     for s in range(len(Ei.generators)):
@@ -301,7 +303,7 @@ def induced_on_ext(
                 if not q.is_zero():
                     image[m] = image[m] + q * p
         image = vec_reduce_entries(Ti2, tuple(image))
-        x = preimage(stacked, image, cap=degree_cap)
+        x = elim.preimage(image)
         if x is None:
             raise InternalConsistencyError(
                 "induced cocycle is not a cycle modulo coboundaries"

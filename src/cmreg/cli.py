@@ -4,11 +4,11 @@ Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound.
 Exit codes: 0 success, 1 parse/semantic error, 2 degree-cap breach,
 3 bound violation, 4 internal consistency failure.
 
-Output files are written atomically (temp file + rename).  CSV rows are
-`variant,parity,i,n,reg` with the literal `-inf` for vanishing modules and
-`cap` for cells abandoned at the degree cap; the JSON artifact mirrors the
-CSV cells plus a metadata block.  CMREG_THREADS controls cell parallelism
-in sweeps.
+Output files are written atomically (unique temp file, fsync, rename).
+CSV rows are `variant,parity,i,n,reg` with the literal `-inf` for vanishing
+modules and `cap` for cells abandoned at the degree cap; the JSON artifact
+mirrors the CSV cells plus a metadata block.  CMREG_THREADS controls cell
+parallelism in sweeps.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from . import __version__
 from .errors import (
@@ -44,11 +45,27 @@ from .trigraded import (
 )
 
 
+# mkstemp creates 0600 files; outputs get the mode open() would give them
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace path with text in one step.  Each call writes its own temp
+    file beside path, so concurrent writers never share one, and readers
+    see either the old file or one whole payload."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, out=None):

@@ -28,9 +28,9 @@ from .freemod import (
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
+    Elimination,
     kernel,
     minimal_generators,
-    preimage,
 )
 from .resolution import FreeResolution, resolve_over_A
 
@@ -61,12 +61,13 @@ def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
         return SubquotientPresentation(ambient, cycles, boundaries, [], pres)
     twists = tuple(vec_degree(ambient, v) for v in zmin)
     zmap = map_from_columns(twists, ambient, zmin)
-    rel_cols = list(kernel(zmap, cap=degree_cap))
+    elim = Elimination(zmap, degree_cap)
+    rel_cols = elim.kernel()
     for b in boundaries:
         b = vec_reduce_entries(ambient, b)
         if vec_is_zero(b):
             continue
-        coords = preimage(zmap, b, cap=degree_cap)
+        coords = elim.preimage(b)
         if coords is None:
             raise InternalConsistencyError(
                 "boundary element is not a combination of the cycles"

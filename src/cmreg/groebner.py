@@ -9,6 +9,11 @@ Vectors are tuples of GradedPoly (one entry per ambient position) and must
 be homogeneous in the twisted sense.  The term order is position-over-term:
 positions are ranked by ascending twist (ties by index), earlier rank wins
 outright, and within a position the ring's monomial order applies.
+
+Kernels and preimages of a map phi come from one elimination basis:
+Elimination(phi) builds it once, and its kernel() and preimage(b) methods
+share it.  The module-level kernel() and preimage() build a fresh one per
+call.
 """
 
 from __future__ import annotations
@@ -332,7 +337,7 @@ def minimal_generators(gens, F: GradedFreeModule):
     degree (stable within a degree).
     """
     from .freemod import piece_basis, span_matrix, vector_coords
-    from .linalg import in_row_span, row_reduce
+    from .linalg import reduce_vector, row_reduce
 
     field = F.base.field
     gens = [vec_reduce_entries(F, g) for g in gens]
@@ -346,15 +351,20 @@ def minimal_generators(gens, F: GradedFreeModule):
         lower = [g for g, d in zip(gens, degs) if d < t]
         # every multiplier has positive degree here, so rows spans exactly
         # the degree-t piece of (irrelevant ideal) * span(gens)
-        rows = span_matrix(F, lower, t, basis)
+        rows, piv = row_reduce(span_matrix(F, lower, t, basis), field)
         for g, d in zip(gens, degs):
             if d != t:
                 continue
-            coords = vector_coords(F, g, t, basis)
-            rref, piv = row_reduce(rows, field)
-            if not in_row_span(coords, rref, piv, field):
-                selected.append((t, g))
-                rows.append(coords)
+            v = reduce_vector(vector_coords(F, g, t, basis), rows, piv, field)
+            p = next((c for c, x in enumerate(v) if x != field.zero), None)
+            if p is None:
+                continue
+            selected.append((t, g))
+            # the residual is zero on every earlier pivot, so reducing
+            # against the rows in order stays exact with it appended
+            inv = field.inv(v[p])
+            rows.append([field.mul(inv, x) for x in v])
+            piv.append(p)
     selected.sort(key=lambda td: -td[0])
     return [g for _, g in selected]
 
@@ -362,35 +372,66 @@ def minimal_generators(gens, F: GradedFreeModule):
 # -- kernels and preimages via elimination ------------------------------------
 
 
-def _elimination_gb(phi: GradedMap, cap):
-    """GB of {(phi(e_m), e_m)} (+ relation multiples on the target block) in
-    target + source with the target block senior."""
-    G, Fm = phi.target, phi.source
-    Q = Fm.base
-    twists = G.twists + Fm.twists
-    ambient = GradedFreeModule(Q, twists)
-    g_rank = G.rank
-    priority = sorted(range(g_rank), key=lambda k: (G.twists[k], k)) + [
-        g_rank + m
-        for m in sorted(range(Fm.rank), key=lambda m: (Fm.twists[m], m))
-    ]
-    order = ModuleOrder(ambient, priority)
-    zero = Q.zero
-    gens = []
-    for m in range(Fm.rank):
-        col = phi.column(m)
-        unit = tuple(
-            Q.one if i == m else zero for i in range(Fm.rank)
-        )
-        gens.append(tuple(col) + unit)
-    if isinstance(Fm.ring, QuotientRing):
-        zpad = tuple(zero for _ in range(Fm.rank))
-        for z in Fm.ring.relations:
-            for k in range(g_rank):
-                gens.append(
-                    tuple(z if i == k else zero for i in range(g_rank)) + zpad
-                )
-    return buchberger(gens, ambient, order=order, cap=cap), g_rank
+class Elimination:
+    """Elimination basis of one map phi: F -> G, built once and shared by
+    its kernel and any number of preimage queries.
+
+    The basis is the GB of {(phi(e_m), e_m)} (+ relation multiples on the
+    target block) in G + F with the target block senior; g_rank = rank G
+    marks where the source block starts.
+    """
+
+    __slots__ = ("source", "basis", "g_rank")
+
+    def __init__(self, phi: GradedMap, cap=DEFAULT_DEGREE_CAP):
+        G, Fm = phi.target, phi.source
+        Q = Fm.base
+        ambient = GradedFreeModule(Q, G.twists + Fm.twists)
+        g_rank = G.rank
+        priority = sorted(range(g_rank), key=lambda k: (G.twists[k], k)) + [
+            g_rank + m
+            for m in sorted(range(Fm.rank), key=lambda m: (Fm.twists[m], m))
+        ]
+        order = ModuleOrder(ambient, priority)
+        zero = Q.zero
+        gens = []
+        for m in range(Fm.rank):
+            col = phi.column(m)
+            unit = tuple(
+                Q.one if i == m else zero for i in range(Fm.rank)
+            )
+            gens.append(tuple(col) + unit)
+        if isinstance(Fm.ring, QuotientRing):
+            zpad = tuple(zero for _ in range(Fm.rank))
+            for z in Fm.ring.relations:
+                for k in range(g_rank):
+                    gens.append(
+                        tuple(z if i == k else zero for i in range(g_rank)) + zpad
+                    )
+        self.source = Fm
+        self.basis = buchberger(gens, ambient, order=order, cap=cap)
+        self.g_rank = g_rank
+
+    def kernel(self):
+        """Generators of ker(phi); see kernel()."""
+        g_rank = self.g_rank
+        out = []
+        for v in self.basis.elements:
+            if any(not p.is_zero() for p in v[:g_rank]):
+                continue
+            w = vec_reduce_entries(self.source, v[g_rank:])
+            if not vec_is_zero(w):
+                out.append(w)
+        return out
+
+    def preimage(self, b):
+        """Some x with phi(x) = b; see preimage()."""
+        Fm = self.source
+        padded = tuple(b) + tuple(Fm.base.zero for _ in range(Fm.rank))
+        r = normal_form(padded, self.basis)
+        if any(not p.is_zero() for p in r[: self.g_rank]):
+            return None
+        return tuple(-p for p in r[self.g_rank :])
 
 
 def kernel(phi: GradedMap, cap=DEFAULT_DEGREE_CAP):
@@ -399,30 +440,13 @@ def kernel(phi: GradedMap, cap=DEFAULT_DEGREE_CAP):
     Over a quotient ring the kernel of the induced map on A-modules is
     returned (entries in canonical form, zero vectors dropped).
     """
-    gb, g_rank = _elimination_gb(phi, cap)
-    Fm = phi.source
-    out = []
-    for v in gb.elements:
-        if any(not p.is_zero() for p in v[:g_rank]):
-            continue
-        w = vec_reduce_entries(Fm, v[g_rank:])
-        if not vec_is_zero(w):
-            out.append(w)
-    return out
+    return Elimination(phi, cap).kernel()
 
 
-def preimage(phi: GradedMap, b, cap=DEFAULT_DEGREE_CAP, gb=None):
+def preimage(phi: GradedMap, b, cap=DEFAULT_DEGREE_CAP):
     """Some x with phi(x) = b (over a quotient: phi(x) = b mod (z)); None if
-    b is not in the image.  Pass gb to reuse _elimination_gb output."""
-    if gb is None:
-        gb = _elimination_gb(phi, cap)
-    basis, g_rank = gb
-    Q = phi.source.base
-    padded = tuple(b) + tuple(Q.zero for _ in range(phi.source.rank))
-    r = normal_form(padded, basis)
-    if any(not p.is_zero() for p in r[:g_rank]):
-        return None
-    return tuple(-p for p in r[g_rank:])
+    b is not in the image.  Build one Elimination to answer many b."""
+    return Elimination(phi, cap).preimage(b)
 
 
 def presentation_is_zero(M, cap=DEFAULT_DEGREE_CAP) -> bool:

@@ -45,7 +45,8 @@ def rank(rows, field):
 
 def reduce_vector(vec, rref_rows, pivots, field):
     """Residual of vec after eliminating against a reduced echelon form;
-    the result is supported on non-pivot columns only."""
+    the result is supported on non-pivot columns only.  It is enough that
+    each row has 1 at its pivot and 0 at the pivots of the rows before it."""
     v = list(vec)
     for row, p in zip(rref_rows, pivots):
         if v[p] != field.zero:

@@ -269,7 +269,7 @@ def resolve_over_Q(
     modules = [M.cover]
     maps = []
     current = M.relations
-    limit = ring.nvars + 1
+    limit = ring.nvars if minimal else ring.nvars + 1
     for l in range(1, limit + 2):
         if current.source.rank == 0:
             break

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
-from cmreg.cli import main
+import pytest
+
+from cmreg.cli import atomic_write, main
 
 HYPERSURFACE = """\
 ring d=1 char=32003
@@ -81,6 +85,46 @@ def test_rho_command(tmp_path, capsys):
     assert "stable from n=" in out
 
 
+def test_atomic_write_concurrent_writers(tmp_path):
+    path = str(tmp_path / "out.json")
+    payloads = [f"writer {w}\n" * (2000 + w) for w in range(6)]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(15):
+                atomic_write(path, text)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert open(path).read() in payloads
+    assert os.listdir(tmp_path) == ["out.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_failure_keeps_target(tmp_path):
+    path = str(tmp_path / "out.csv")
+    atomic_write(path, "old\n")
+    with pytest.raises(TypeError):
+        atomic_write(path, b"not text")
+    assert open(path).read() == "old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
 def test_sweep_stdout_csv_and_determinism(tmp_path, capsys):
     prob = _write(tmp_path, "hyp.prob", HYPERSURFACE)
     argv = ["sweep", prob, "--module", "M", "--coeff", "M", "--ideal", "I",
@@ -107,8 +151,7 @@ def test_sweep_files_written_atomically(tmp_path, capsys):
         "--csv", csv_path, "--json", json_path,
     ]) == 0
     assert capsys.readouterr().out == ""
-    assert not os.path.exists(csv_path + ".tmp")
-    assert not os.path.exists(json_path + ".tmp")
+    assert sorted(os.listdir(tmp_path)) == ["grid.csv", "grid.json", "red.prob"]
     rows = open(csv_path).read().strip().splitlines()
     # header + 2 variants * 2 parities * 2 i * 3 n
     assert len(rows) == 25

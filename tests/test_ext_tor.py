@@ -6,9 +6,12 @@ from helpers import (
     reduced_hypersurface_setup,
     two_relation_setup,
 )
-from cmreg.ext_tor import ext, tor
-from cmreg.freemod import NEG_INF, free_presentation
+import cmreg.groebner
+from cmreg.ext_tor import ext, to_presentation, tor
+from cmreg.fields import GF32003
+from cmreg.freemod import NEG_INF, GradedFreeModule, free_presentation
 from cmreg.regularity import regularity
+from cmreg.rings import PolyRing, QuotientRing
 
 
 def _reg(E):
@@ -95,3 +98,24 @@ def test_ext_target_shift():
         for i in range(3):
             base = _reg(ext(M, N, i))
             assert _reg(ext(M, N.shift(a), i)) == base - a
+
+
+def test_to_presentation_builds_one_elimination_basis(monkeypatch):
+    # the kernel of the generator map and the preimage of every boundary
+    # share one elimination basis
+    Q = PolyRing(2, GF32003)
+    A = QuotientRing(Q, [Q.poly("x1*x2")])
+    F = GradedFreeModule(A, (0,))
+    x1, x2 = A.poly("x1"), A.poly("x2")
+    calls = []
+    real = cmreg.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cmreg.groebner, "buchberger", counting)
+    sub = to_presentation(F, [(Q.one,), (x1,)], [(x1,), (x2,), (x1 * x2,)])
+    assert len(calls) == 1
+    assert sub.generators == [(Q.one,)]
+    assert sub.presentation.relations.columns() == [(x1,), (x2,)]

@@ -11,14 +11,20 @@ from cmreg.freemod import (
     GradedFreeModule,
     GradedMap,
     basis_vector,
+    map_from_columns,
     piece_basis,
     span_matrix,
     vec_add,
+    vec_degree,
     vec_is_zero,
     vec_mul_poly,
+    vec_reduce_entries,
+    vec_scale,
     vec_sub,
+    vector_coords,
 )
 from cmreg.groebner import (
+    Elimination,
     buchberger,
     divide,
     kernel,
@@ -30,7 +36,7 @@ from cmreg.groebner import (
     submodule_equal,
     submodule_gb,
 )
-from cmreg.linalg import rank
+from cmreg.linalg import in_row_span, rank, row_reduce
 from cmreg.rings import PolyRing, QuotientRing
 
 Q2 = PolyRing(2, GF32003)
@@ -256,6 +262,103 @@ def test_minimal_generators_nakayama(seed):
 
         degs = [vec_degree(F, v) for v in a]
         assert degs == sorted(degs, reverse=True)
+
+
+def _minimal_generators_full_rref(gens, F):
+    """Reference: the same graded Nakayama selection, with a fresh RREF of
+    everything kept so far for each candidate."""
+    field = F.base.field
+    gens = [vec_reduce_entries(F, g) for g in gens]
+    gens = [g for g in gens if not vec_is_zero(g)]
+    degs = [vec_degree(F, g) for g in gens]
+    selected = []
+    for t in sorted(set(degs)):
+        basis = piece_basis(F, t)
+        rows = span_matrix(F, [g for g, d in zip(gens, degs) if d < t], t, basis)
+        for g, d in zip(gens, degs):
+            if d != t:
+                continue
+            coords = vector_coords(F, g, t, basis)
+            rref, piv = row_reduce(rows, field)
+            if not in_row_span(coords, rref, piv, field):
+                selected.append((t, g))
+                rows.append(coords)
+    selected.sort(key=lambda td: -td[0])
+    return [g for _, g in selected]
+
+
+def _redundant_gens(rng, F, count):
+    """Random generators plus scalar multiples, multiples by a variable and
+    same-degree sums of them, shuffled, so that both keep and drop
+    decisions happen in every degree."""
+    base = F.base
+    gens = _random_gens(rng, F, count)
+    extra = []
+    for g in gens:
+        extra.append(vec_scale(g, base.field(rng.randint(2, 5))))
+        extra.append(vec_mul_poly(g, base.variable(rng.randrange(base.nvars))))
+    for a in gens:
+        for b in gens:
+            if a is not b and vec_degree(F, a) == vec_degree(F, b):
+                extra.append(vec_add(a, vec_scale(b, base.field(rng.randint(1, 3)))))
+    out = gens + rng.sample(extra, min(len(extra), count))
+    rng.shuffle(out)
+    return out
+
+
+def _quotient_ring(field):
+    Q = PolyRing(3, field)
+    return QuotientRing(Q, [Q.poly("x1^2"), Q.poly("x2*x3")])
+
+
+@pytest.mark.parametrize("field", [GF32003, QQ], ids=["gf32003", "qq"])
+@pytest.mark.parametrize("quotient", [False, True], ids=["poly", "quotient"])
+def test_minimal_generators_matches_full_rref_reference(seed, field, quotient):
+    rng = random.Random(seed)
+    ring = _quotient_ring(field) if quotient else PolyRing(2, field)
+    F = GradedFreeModule(ring, (0, 1))
+    dropped = 0
+    for trial in range(10):
+        gens = _redundant_gens(rng, F, 4)
+        if not gens:
+            continue
+        expected = _minimal_generators_full_rref(gens, F)
+        assert minimal_generators(gens, F) == expected
+        dropped += len(gens) - len(expected)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["poly", "quotient"])
+def test_elimination_shared_across_right_hand_sides(seed, quotient):
+    rng = random.Random(seed)
+    ring = _quotient_ring(GF32003) if quotient else Q2
+    F = GradedFreeModule(ring, (0, 1))
+    for trial in range(6):
+        gens = _random_gens(rng, F, 3)
+        if not gens:
+            continue
+        gdegs = [vec_degree(F, g) for g in gens]
+        phi = map_from_columns(tuple(gdegs), F, gens)
+        s = max(gdegs) + 1
+        rhs = [basis_vector(F, 0)]  # degree 0, below every generator
+        for _ in range(3):
+            b = None
+            for g, d in zip(gens, gdegs):
+                piece = vec_mul_poly(g, random_poly(rng, ring, s - d))
+                b = piece if b is None else vec_add(b, piece)
+            rhs.append(vec_reduce_entries(F, b))
+            rhs.append(tuple(random_poly(rng, ring, s - t) for t in F.twists))
+        elim = Elimination(phi)
+        assert elim.kernel() == kernel(phi)
+        gb = submodule_gb(gens, F)
+        for b in rhs:
+            x = elim.preimage(b)
+            assert x == preimage(phi, b)
+            if submodule_contains(gb, b):
+                assert vec_reduce_entries(F, phi.apply(x)) == vec_reduce_entries(F, b)
+            else:
+                assert x is None
+        assert elim.preimage(rhs[0]) is None
 
 
 def test_degree_cap_exempts_input_reduction():

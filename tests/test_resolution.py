@@ -3,9 +3,19 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from helpers import cyclic_quotient, random_presentation
+from cmreg import resolution
+from cmreg.errors import InternalConsistencyError
 from cmreg.fields import GF32003
-from cmreg.freemod import NEG_INF, free_presentation
+from cmreg.freemod import (
+    NEG_INF,
+    basis_vector,
+    free_presentation,
+    map_from_columns,
+    vec_mul_poly,
+)
 from cmreg.regularity import regularity
 from cmreg.resolution import (
     BettiTable,
@@ -30,6 +40,30 @@ def test_koszul_betti_numbers():
         for i in range(d + 1):
             assert B.beta(i, i) == math.comb(d, i)
         assert B.regularity() == 0
+
+
+def test_minimal_resolution_stops_at_syzygy_bound(monkeypatch):
+    # the residue field over K[x1..xd] resolves in exactly d steps
+    # (test_koszul_betti_numbers); one more minimal step must be refused
+    real_extend = resolution._extend
+    for d in (1, 2, 3):
+        Q = PolyRing(d, GF32003)
+        K = cyclic_quotient(Q, [f"x{i + 1}" for i in range(d)])
+        extra = []
+
+        def one_step_too_many(current, degree_cap, minimal=True):
+            nxt = real_extend(current, degree_cap, minimal=minimal)
+            if nxt is None and not extra:
+                F = current.source
+                extra.append(d)
+                col = vec_mul_poly(basis_vector(F, 0), Q.poly("x1"))
+                nxt = map_from_columns((F.twists[0] + 1,), F, [col])
+            return nxt
+
+        monkeypatch.setattr(resolution, "_extend", one_step_too_many)
+        with pytest.raises(InternalConsistencyError):
+            resolve_over_Q(K)
+        assert extra == [d]
 
 
 def test_free_module_regularity_is_max_twist():
