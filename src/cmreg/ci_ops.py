@@ -21,7 +21,7 @@ PresentationMap.equals_mod_relations decides equality of two such maps.
 from __future__ import annotations
 
 from .errors import InternalConsistencyError
-from .ext_tor import ext, hom_complex
+from .ext_tor import _block_map, ext
 from .freemod import (
     GradedFreeModule,
     GradedMap,
@@ -253,7 +253,6 @@ def induced_on_ext(
     Ei2 = ext(None, N, i + 2, resolution=R, degree_cap=degree_cap)
     source = Ei.presentation
     target = Ei2.presentation.shift(-fj)
-    rG = N.cover.rank
 
     if not source.cover.rank or not target.cover.rank:
         zero_cols = [
@@ -264,19 +263,13 @@ def induced_on_ext(
         return PresentationMap(source, target, cover_map)
 
     # ambient precomposition U : T_i -> T_{i+2}(-f_j), block (m,t) <- (k,t)
-    tmap = T.t(j, i + 2)
-    H = hom_complex(R, N)
-    Ti2 = H.terms[i + 2]
-    zero = ring.base.zero
-    rows = [[zero] * Ei.ambient.rank for _ in range(Ti2.rank)]
-    for k in range(R.modules[i].rank):
-        for m in range(R.modules[i + 2].rank):
-            p = tmap.matrix[k][m]
-            if p.is_zero():
-                continue
-            p = ring.normal_form(p)
-            for t in range(rG):
-                rows[m * rG + t][k * rG + t] = p
+    t = T.t(j, i + 2)
+    t_A = GradedMap(
+        GradedFreeModule(ring, t.source.twists),
+        GradedFreeModule(ring, t.target.twists),
+        [[ring.normal_form(p) for p in row] for row in t.matrix],
+    )
+    U = _block_map(t_A, N.cover, dual=True)
 
     # rewrite each generator image in Ext^{i+2} coordinates: solve
     # gens*x + boundaries*y = U(z_s) inside the unshifted ambient
@@ -291,18 +284,8 @@ def induced_on_ext(
     )
     ngens2 = zmap2.source.rank
     out_cols = []
-    for s in range(len(Ei.generators)):
-        image = [zero] * Ti2.rank
-        zvec = Ei.generators[s]
-        for kk in range(Ei.ambient.rank):
-            p = zvec[kk]
-            if p.is_zero():
-                continue
-            for m in range(Ti2.rank):
-                q = rows[m][kk]
-                if not q.is_zero():
-                    image[m] = image[m] + q * p
-        image = vec_reduce_entries(Ti2, tuple(image))
+    for zvec in Ei.generators:
+        image = vec_reduce_entries(Ei2.ambient, U.apply(zvec))
         x = elim.preimage(image)
         if x is None:
             raise InternalConsistencyError(

@@ -7,8 +7,7 @@ Exit codes: 0 success, 1 parse/semantic error, 2 degree-cap breach,
 Output files are written atomically (unique temp file, fsync, rename).
 CSV rows are `variant,parity,i,n,reg` with the literal `-inf` for vanishing
 modules and `cap` for cells abandoned at the degree cap; the JSON artifact
-mirrors the CSV cells plus a metadata block.  CMREG_THREADS controls cell
-parallelism in sweeps.
+mirrors the CSV cells plus a metadata block.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -32,7 +32,7 @@ from .freemod import NEG_INF
 from .groebner import DEFAULT_DEGREE_CAP
 from .problemfile import parse_problem
 from .rees import rho_upper
-from .regularity import regularity
+from .regularity import present_over_Q, regularity
 from .resolution import betti_table, resolve_over_A, resolve_over_Q
 from .rings import QuotientRing
 from .sweeps import reg_to_text, sweep, verify_bounds
@@ -53,7 +53,17 @@ os.umask(_UMASK)
 def atomic_write(path: str, text: str):
     """Replace path with text in one step.  Each call writes its own temp
     file beside path, so concurrent writers never share one, and readers
-    see either the old file or one whole payload."""
+    see either the old file or one whole payload.  A path that exists and
+    is not a regular file (a FIFO, a device) is written in place, since
+    renaming over it would replace the node itself."""
+    try:
+        irregular = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        irregular = False
+    if irregular:
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
     try:
@@ -105,10 +115,6 @@ def _pick_caps(pf, args):
     return degree_cap
 
 
-def _reg_text(value) -> str:
-    return "-inf" if value == NEG_INF else str(int(value))
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -116,12 +122,8 @@ def cmd_resolve(args):
     pf = _load(args.problem)
     M = pf.module(args.module)
     degree_cap = _pick_caps(pf, args)
-    over_q = args.over == "Q" or not isinstance(pf.ring, QuotientRing)
-    if over_q:
-        from .regularity import present_over_Q
-
-        MQ = present_over_Q(M) if isinstance(pf.ring, QuotientRing) else M
-        R = resolve_over_Q(MQ, degree_cap=degree_cap)
+    if args.over == "Q" or not isinstance(pf.ring, QuotientRing):
+        R = resolve_over_Q(present_over_Q(M), degree_cap=degree_cap)
     else:
         R = resolve_over_A(M, cap=args.cap, degree_cap=degree_cap)
     lines = [f"minimal={R.minimal} complete={R.complete} length={R.length}"]
@@ -136,7 +138,7 @@ def cmd_reg(args):
     pf = _load(args.problem)
     M = pf.module(args.module)
     value = regularity(M, degree_cap=_pick_caps(pf, args))
-    _emit(_reg_text(value) + "\n", args.out)
+    _emit(reg_to_text(value) + "\n", args.out)
     return 0
 
 
@@ -154,7 +156,7 @@ def _cmd_ext_tor(args, which):
     lines = [
         f"{which}^{args.index} generators [{gens}] "
         f"relations {E.presentation.relations.source.rank}",
-        f"reg {_reg_text(value)}",
+        f"reg {reg_to_text(value)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

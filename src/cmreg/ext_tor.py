@@ -87,101 +87,43 @@ def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
 # -- hom and tensor complexes --------------------------------------------------
 
 
-class HomComplex:
-    """The cochain complex Hom_A(F, N) on ambient free modules.
-
-    terms[l] = T_l, maps[l]: T_l -> T_{l+1} (defined for l < top), and
-    relation_columns(l) spans the submodule of T_l that kills N's relations
-    in every block.
-    """
-
-    def __init__(self, terms, maps, rel_builder):
-        self.terms = terms
-        self.maps = maps
-        self._rel = rel_builder
-
-    def relation_columns(self, l):
-        return self._rel(l)
+def _term(F: GradedFreeModule, G: GradedFreeModule, dual: bool):
+    """The ambient of Hom(F, N) (dual: twists b - a) or F tensor N (twists
+    b + a): one copy of G per basis vector of F."""
+    sign = -1 if dual else 1
+    return GradedFreeModule(
+        F.ring, tuple(b + sign * a for a in F.twists for b in G.twists)
+    )
 
 
-def _block_twists(F: GradedFreeModule, G: GradedFreeModule, sign: int):
-    out = []
-    for a in F.twists:
-        for b in G.twists:
-            out.append(b - a if sign > 0 else b + a)
-    return tuple(out)
+def _block_map(d: GradedMap, G: GradedFreeModule, dual: bool) -> GradedMap:
+    """The map that d: F -> F' induces on ambients: Hom(F', N) -> Hom(F, N)
+    with transposed blocks (dual), or F tensor N -> F' tensor N."""
+    src, tgt = _term(d.target, G, dual), _term(d.source, G, dual)
+    if not dual:
+        src, tgt = tgt, src
+    rG = G.rank
+    rows = [[G.base.zero] * src.rank for _ in range(tgt.rank)]
+    for k, row in enumerate(d.matrix):
+        for m, p in enumerate(row):
+            if p.is_zero():
+                continue
+            r, c = (m, k) if dual else (k, m)
+            for t in range(rG):
+                rows[r * rG + t][c * rG + t] = p
+    return GradedMap(src, tgt, rows)
 
 
-def _relation_columns(ring, Frank, G, psi_cols, Tl):
+def _relation_columns(Frank, G, psi_cols):
     zero = G.base.zero
     cols = []
     for k in range(Frank):
         for col in psi_cols:
-            v = [zero] * Tl.rank
+            v = [zero] * (Frank * G.rank)
             for t in range(G.rank):
                 v[k * G.rank + t] = col[t]
             cols.append(tuple(v))
     return cols
-
-
-def hom_complex(R: FreeResolution, N: ModulePresentation) -> HomComplex:
-    """0 -> Hom(F_0, N) -> Hom(F_1, N) -> ... as ambient modules T_l with
-    transposed-differential block maps."""
-    A = R.ring
-    G = N.cover
-    psi_cols = N.relations.columns()
-    terms = []
-    for F in R.modules:
-        terms.append(GradedFreeModule(A, _block_twists(F, G, sign=+1)))
-    zero = G.base.zero
-    maps = []
-    for l in range(R.length):
-        D = R.d(l + 1).matrix  # rows k in F_l, cols k2 in F_{l+1}
-        src, tgt = terms[l], terms[l + 1]
-        rows = [[zero] * src.rank for _ in range(tgt.rank)]
-        for k in range(R.modules[l].rank):
-            for k2 in range(R.modules[l + 1].rank):
-                p = D[k][k2]
-                if p.is_zero():
-                    continue
-                for t in range(G.rank):
-                    rows[k2 * G.rank + t][k * G.rank + t] = p
-        maps.append(GradedMap(src, tgt, rows))
-
-    def rel_builder(l):
-        return _relation_columns(A, R.modules[l].rank, G, psi_cols, terms[l])
-
-    return HomComplex(terms, maps, rel_builder)
-
-
-def tensor_complex(R: FreeResolution, N: ModulePresentation) -> HomComplex:
-    """... -> F_1 tensor N -> F_0 tensor N as ambient modules, with maps[l]:
-    T_{l+1} -> T_l stored at index l."""
-    A = R.ring
-    G = N.cover
-    psi_cols = N.relations.columns()
-    terms = []
-    for F in R.modules:
-        terms.append(GradedFreeModule(A, _block_twists(F, G, sign=-1)))
-    zero = G.base.zero
-    maps = []
-    for l in range(R.length):
-        D = R.d(l + 1).matrix
-        src, tgt = terms[l + 1], terms[l]
-        rows = [[zero] * src.rank for _ in range(tgt.rank)]
-        for k in range(R.modules[l].rank):
-            for k2 in range(R.modules[l + 1].rank):
-                p = D[k][k2]
-                if p.is_zero():
-                    continue
-                for t in range(G.rank):
-                    rows[k * G.rank + t][k2 * G.rank + t] = p
-        maps.append(GradedMap(src, tgt, rows))
-
-    def rel_builder(l):
-        return _relation_columns(A, R.modules[l].rank, G, psi_cols, terms[l])
-
-    return HomComplex(terms, maps, rel_builder)
 
 
 def _stacked_kernel(delta: GradedMap, extra_cols, degree_cap):
@@ -209,6 +151,32 @@ def _require_depth(R: FreeResolution, i: int):
     )
 
 
+def _homology(M, N, i, R, degree_cap, dual):
+    """H at T_i of Hom(F, N) (dual) or F tensor N: cycles from the map
+    leaving T_i, boundaries from the map entering it."""
+    if R is None:
+        R = resolve_over_A(M, cap=i + 1, degree_cap=degree_cap)
+    _require_depth(R, i)
+    if i > R.length:
+        # the resolution stopped before i, so the module vanishes
+        return to_presentation(GradedFreeModule(R.ring, ()), [], [], degree_cap)
+    G = N.cover
+    psi_cols = N.relations.columns()
+    Ti = _term(R.modules[i], G, dual)
+    nxt, prv = (i + 1, i - 1) if dual else (i - 1, i + 1)
+    if 0 <= nxt <= R.length:
+        delta = _block_map(R.d(max(i, nxt)), G, dual)
+        rels = _relation_columns(R.modules[nxt].rank, G, psi_cols)
+        cycles = _stacked_kernel(delta, rels, degree_cap)
+    else:
+        # next term is zero: every element is a cycle
+        cycles = [basis_vector(Ti, k) for k in range(Ti.rank)]
+    boundaries = _relation_columns(R.modules[i].rank, G, psi_cols)
+    if 0 <= prv <= R.length:
+        boundaries = _block_map(R.d(max(i, prv)), G, dual).columns() + boundaries
+    return to_presentation(Ti, cycles, boundaries, degree_cap)
+
+
 def ext(
     M: ModulePresentation,
     N: ModulePresentation,
@@ -219,24 +187,7 @@ def ext(
     """Ext_A^i(M, N) as a subquotient of T_i = Hom_A(F_i, N)'s ambient."""
     if i < 0:
         raise ValueError("negative cohomological index")
-    if resolution is None:
-        resolution = resolve_over_A(M, cap=i + 1, degree_cap=degree_cap)
-    _require_depth(resolution, i)
-    H = hom_complex(resolution, N)
-    if i >= len(H.terms):
-        # the resolution stopped before i, so Ext vanishes
-        ambient = GradedFreeModule(resolution.ring, ())
-        return to_presentation(ambient, [], [], degree_cap)
-    Ti = H.terms[i]
-    if i < len(H.maps):
-        cycles = _stacked_kernel(H.maps[i], H.relation_columns(i + 1), degree_cap)
-    else:
-        # next term is zero: every element is a cycle
-        cycles = [basis_vector(Ti, k) for k in range(Ti.rank)]
-    boundaries = list(H.relation_columns(i))
-    if i >= 1:
-        boundaries = H.maps[i - 1].columns() + boundaries
-    return to_presentation(Ti, cycles, boundaries, degree_cap)
+    return _homology(M, N, i, resolution, degree_cap, dual=True)
 
 
 def tor(
@@ -249,19 +200,4 @@ def tor(
     """Tor_i^A(M, N) as a subquotient of T_i = (F_i tensor N)'s ambient."""
     if i < 0:
         raise ValueError("negative homological index")
-    if resolution is None:
-        resolution = resolve_over_A(M, cap=i + 1, degree_cap=degree_cap)
-    _require_depth(resolution, i)
-    T = tensor_complex(resolution, N)
-    if i >= len(T.terms):
-        ambient = GradedFreeModule(resolution.ring, ())
-        return to_presentation(ambient, [], [], degree_cap)
-    Ti = T.terms[i]
-    if i >= 1:
-        cycles = _stacked_kernel(T.maps[i - 1], T.relation_columns(i - 1), degree_cap)
-    else:
-        cycles = [basis_vector(Ti, k) for k in range(Ti.rank)]
-    boundaries = list(T.relation_columns(i))
-    if i < len(T.maps):
-        boundaries = T.maps[i].columns() + boundaries
-    return to_presentation(Ti, cycles, boundaries, degree_cap)
+    return _homology(M, N, i, resolution, degree_cap, dual=False)

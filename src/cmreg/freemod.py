@@ -57,16 +57,7 @@ class GradedFreeModule:
         return f"Free({self.ring!r}, twists={list(self.twists)})"
 
 
-def twist_module(F: GradedFreeModule, a: int) -> GradedFreeModule:
-    return F.shift(a)
-
-
 # -- vectors ---------------------------------------------------------------
-
-
-def zero_vector(F: GradedFreeModule):
-    z = F.base.zero
-    return tuple(z for _ in range(F.rank))
 
 
 def basis_vector(F: GradedFreeModule, k: int):
@@ -85,10 +76,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(v):
-    return tuple(-a for a in v)
 
 
 def vec_scale(v, c):
@@ -159,18 +146,6 @@ def vector_coords(F: GradedFreeModule, v, s: int, basis=None):
         for e, c in p.terms.items():
             coords[index[(k, e)]] = c
     return coords
-
-
-def coords_to_vector(F: GradedFreeModule, basis, coords):
-    ring = F.base
-    field_ = ring.field
-    terms = [dict() for _ in range(F.rank)]
-    for (k, e), c in zip(basis, coords):
-        if c != field_.zero:
-            terms[k][e] = c
-    return tuple(
-        ring.from_terms(t) if t else ring.zero for t in terms
-    )
 
 
 def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
@@ -279,10 +254,6 @@ class GradedMap:
         )
 
 
-def check_homogeneous_map(phi: GradedMap) -> bool:
-    return phi.is_homogeneous()
-
-
 def map_from_columns(source_twists, target: GradedFreeModule, columns) -> GradedMap:
     source = GradedFreeModule(target.ring, source_twists)
     matrix = [
@@ -321,9 +292,6 @@ class ModulePresentation:
     def shift(self, m: int) -> ModulePresentation:
         """The twisted module M(m)."""
         return ModulePresentation(self.relations.shift(-m))
-
-    def is_free_presentation(self) -> bool:
-        return self.relations.source.rank == 0 or self.relations.is_zero()
 
     def __repr__(self):
         return (

@@ -393,21 +393,9 @@ class Elimination:
             for m in sorted(range(Fm.rank), key=lambda m: (Fm.twists[m], m))
         ]
         order = ModuleOrder(ambient, priority)
-        zero = Q.zero
-        gens = []
-        for m in range(Fm.rank):
-            col = phi.column(m)
-            unit = tuple(
-                Q.one if i == m else zero for i in range(Fm.rank)
-            )
-            gens.append(tuple(col) + unit)
-        if isinstance(Fm.ring, QuotientRing):
-            zpad = tuple(zero for _ in range(Fm.rank))
-            for z in Fm.ring.relations:
-                for k in range(g_rank):
-                    gens.append(
-                        tuple(z if i == k else zero for i in range(g_rank)) + zpad
-                    )
+        gens = [phi.column(m) + basis_vector(Fm, m) for m in range(Fm.rank)]
+        zpad = tuple(Q.zero for _ in range(Fm.rank))
+        gens += [v + zpad for v in relation_vectors(G)]
         self.source = Fm
         self.basis = buchberger(gens, ambient, order=order, cap=cap)
         self.g_rank = g_rank

@@ -59,34 +59,3 @@ def in_row_span(vec, rref_rows, pivots, field):
     """Membership of vec in the row space given a reduced row echelon form."""
     v = reduce_vector(vec, rref_rows, pivots, field)
     return all(x == field.zero for x in v)
-
-
-def nullspace(rows, ncols, field):
-    """Basis of the right kernel {x : rows @ x = 0}, as a list of vectors."""
-    rref, pivots = row_reduce(rows, field)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, p in zip(rref, pivots):
-            v[p] = field.neg(row[fc])
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs, field):
-    """One solution x of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(b != field.zero for b in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = row_reduce(aug, field)
-    for row, p in zip(rref, pivots):
-        if p == ncols:
-            return None
-    x = [field.zero] * ncols
-    for row, p in zip(rref, pivots):
-        x[p] = row[ncols]
-    return x

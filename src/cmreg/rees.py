@@ -26,7 +26,6 @@ from .freemod import (
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     minimal_generators,
-    normal_form,
     submodule_contains,
     submodule_equal,
     submodule_gb,

@@ -25,7 +25,7 @@ from .freemod import (
     vec_degree,
     vector_coords,
 )
-from .groebner import DEFAULT_DEGREE_CAP
+from .groebner import DEFAULT_DEGREE_CAP, relation_vectors
 from .linalg import rank, reduce_vector, row_reduce
 from .resolution import BettiTable, resolve_over_Q
 from .rings import QuotientRing, monomial_mul
@@ -39,11 +39,7 @@ def present_over_Q(M: ModulePresentation) -> ModulePresentation:
         return M
     Q = ring.base
     F = GradedFreeModule(Q, M.cover.twists)
-    cols = [tuple(c) for c in M.relations.columns()]
-    zero = Q.zero
-    for z in ring.relations:
-        for k in range(F.rank):
-            cols.append(tuple(z if i == k else zero for i in range(F.rank)))
+    cols = M.relations.columns() + relation_vectors(M.cover)
     if not cols:
         return free_presentation(Q, F.twists)
     twists = tuple(vec_degree(F, c) for c in cols)

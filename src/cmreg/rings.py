@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import HomogeneityError
-from .fields import GF32003, field_of_characteristic
+from .fields import GF32003
 
 
 def monomial_degree(exps) -> int:
@@ -39,34 +39,16 @@ def _key_degrevlex(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def _key_lex(e):
-    return tuple(e)
-
-
-def _key_deglex(e):
-    return (sum(e), tuple(e))
-
-
-ORDER_KEYS = {
-    "degrevlex": _key_degrevlex,
-    "lex": _key_lex,
-    "deglex": _key_deglex,
-}
-
-
 class PolyRing:
-    """Standard graded polynomial ring over an exact field, with a fixed
-    monomial order (degrevlex unless stated otherwise)."""
+    """Standard graded polynomial ring over an exact field, with the
+    degrevlex monomial order."""
 
-    def __init__(self, nvars: int, field=GF32003, order: str = "degrevlex"):
+    def __init__(self, nvars: int, field=GF32003):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        if order not in ORDER_KEYS:
-            raise ValueError(f"unknown monomial order {order!r}")
         self.nvars = nvars
         self.field = field
-        self.order = order
-        self.order_key = ORDER_KEYS[order]
+        self.order_key = _key_degrevlex
 
     # -- element constructors -------------------------------------------
 
@@ -149,14 +131,13 @@ class PolyRing:
             isinstance(other, PolyRing)
             and other.nvars == self.nvars
             and other.field == self.field
-            and other.order == self.order
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.field, self.order))
+        return hash((self.nvars, self.field))
 
     def __repr__(self):
-        return f"{self.field}[x1..x{self.nvars}]({self.order})"
+        return f"{self.field}[x1..x{self.nvars}](degrevlex)"
 
 
 class GradedPoly:
@@ -313,15 +294,6 @@ class QuotientRing:
         if check_regular and self.relations:
             self._check_regular_sequence()
 
-    @property
-    def codim(self) -> int:
-        return len(self.relations)
-
-    @property
-    def min_relation_degree(self):
-        """min deg(z_j); None when c = 0."""
-        return self.f_degrees[0] if self.f_degrees else None
-
     def _groebner_of_relations(self):
         if self._zgb is None:
             from .groebner import buchberger
@@ -406,10 +378,6 @@ class QuotientRing:
 def base_poly_ring(ring) -> PolyRing:
     """Underlying polynomial ring of either a PolyRing or a QuotientRing."""
     return ring.base if isinstance(ring, QuotientRing) else ring
-
-
-def quotient_relations(ring):
-    return ring.relations if isinstance(ring, QuotientRing) else ()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ recorded with the CAP marker and the run continues.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import DegreeCapExceeded
@@ -23,7 +21,7 @@ from .freemod import NEG_INF, ModulePresentation
 from .groebner import DEFAULT_DEGREE_CAP
 from .rees import IdealData, power_module, quotient_module
 from .regularity import regularity
-from .resolution import FreeResolution, resolve_over_A
+from .resolution import resolve_over_A
 from .rings import QuotientRing
 
 #: cell marker: the computation for this cell breached its degree cap
@@ -40,14 +38,6 @@ GRID_LIMITATION_NOTE = (
     "the computed cells and the bound is certified for those cells alone, "
     "not for all i, n"
 )
-
-
-def thread_count(explicit=None) -> int:
-    """Worker count: explicit argument, else CMREG_THREADS, else 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get("CMREG_THREADS", "").strip()
-    return max(1, int(raw)) if raw else 1
 
 
 @dataclass
@@ -107,7 +97,6 @@ def sweep(
     variants=("power",),
     degree_cap=DEFAULT_DEGREE_CAP,
     hom_cap=None,
-    threads=None,
 ) -> ExtRegTable:
     """reg Ext_A^{2i+l}(M, C) for 0 <= i <= i_max, 0 <= n <= n_max, C the
     power module I^n N or the quotient module N/I^n N per variant."""
@@ -122,39 +111,20 @@ def sweep(
         hom_cap = 2 * i_max + 2
     R = resolve_over_A(M, cap=hom_cap, degree_cap=degree_cap)
 
-    coeff = {}
+    cells = {}
     for variant in variants:
         for n in range(n_max + 1):
             if variant == "power":
-                coeff[(variant, n)] = power_module(I, n, N, degree_cap=degree_cap)
+                C = power_module(I, n, N, degree_cap=degree_cap)
             else:
-                coeff[(variant, n)] = quotient_module(N, I, n, degree_cap=degree_cap)
-
-    tasks = [
-        (variant, n, idx)
-        for variant in variants
-        for n in range(n_max + 1)
-        for idx in range(2 * i_max + 2)
-    ]
-
-    def run_cell(task):
-        variant, n, idx = task
-        try:
-            E = ext(M, coeff[(variant, n)], idx, resolution=R, degree_cap=degree_cap)
-            return task, regularity(E.presentation, degree_cap=degree_cap)
-        except DegreeCapExceeded:
-            return task, CAP
-
-    workers = thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, tasks))
-    else:
-        results = [run_cell(t) for t in tasks]
-
-    cells = {}
-    for (variant, n, idx), value in results:
-        cells[(variant, PARITY_NAMES[idx % 2], idx // 2, n)] = value
+                C = quotient_module(N, I, n, degree_cap=degree_cap)
+            for idx in range(2 * i_max + 2):
+                try:
+                    E = ext(M, C, idx, resolution=R, degree_cap=degree_cap)
+                    value = regularity(E.presentation, degree_cap=degree_cap)
+                except DegreeCapExceeded:
+                    value = CAP
+                cells[(variant, PARITY_NAMES[idx % 2], idx // 2, n)] = value
 
     metadata = {
         "field": repr(ring.field),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
 import threading
 
@@ -123,6 +124,23 @@ def test_atomic_write_failure_keeps_target(tmp_path):
         atomic_write(path, b"not text")
     assert open(path).read() == "old\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_atomic_write_keeps_fifo(tmp_path):
+    # renaming a temp file over a FIFO (or a device) would replace the node
+    path = str(tmp_path / "pipe")
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(open(path).read()), daemon=True
+    )
+    reader.start()
+    atomic_write(path, "payload\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == ["payload\n"]
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_sweep_stdout_csv_and_determinism(tmp_path, capsys):

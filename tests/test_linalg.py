@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from cmreg.fields import GF32003, QQ
 from cmreg.linalg import (
     in_row_span,
-    nullspace,
     rank,
     reduce_vector,
     row_reduce,
-    solve,
 )
 
 matrices = st.lists(
@@ -37,43 +35,6 @@ def test_rref_shape_and_rank(rows):
     assert rank(rows, QQ) == len(pivots)
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices)
-def test_nullspace_annihilates(rows):
-    rows = _q(rows)
-    ncols = 3
-    for v in nullspace(rows, ncols, QQ):
-        assert any(c != 0 for c in v)
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(nullspace(rows, ncols, QQ)) == ncols - rank(rows, QQ)
-
-
-@settings(max_examples=80, deadline=None)
-@given(matrices, st.lists(st.integers(-4, 4), min_size=1, max_size=4))
-def test_solve_row_combination(rows, coeffs):
-    # rhs built as a combination of the rows must be solvable, and the
-    # solution must reproduce it
-    rows = _q(rows)
-    coeffs = [QQ(c) for c in coeffs[: len(rows)]] + [QQ(0)] * max(
-        0, len(rows) - len(coeffs)
-    )
-    rhs = [
-        sum((c * row[j] for c, row in zip(coeffs, rows)), QQ(0))
-        for j in range(3)
-    ]
-    x = solve([list(col) for col in zip(*rows)], rhs, QQ)
-    assert x is not None
-    for j in range(3):
-        assert sum(x[i] * rows[i][j] for i in range(len(rows))) == rhs[j]
-
-
-def test_solve_inconsistent():
-    rows = _q([[1, 0, 0]])
-    cols = [list(c) for c in zip(*rows)]
-    assert solve(cols, [QQ(0), QQ(1), QQ(0)], QQ) is None
-
-
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_reduce_vector_span_membership(rows):
@@ -92,4 +53,3 @@ def test_reduce_vector_span_membership(rows):
 def test_prime_field_path():
     rows = [[GF32003(2), GF32003(4)], [GF32003(1), GF32003(2)]]
     assert rank(rows, GF32003) == 1
-    assert len(nullspace(rows, 2, GF32003)) == 1

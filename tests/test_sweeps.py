@@ -6,19 +6,21 @@ from helpers import (
     cyclic_quotient,
     hypersurface_setup,
     reduced_hypersurface_setup,
+    two_relation_setup,
 )
-from cmreg.fields import GF32003
+from cmreg.fields import GF32003, QQ, PrimeField
 from cmreg.freemod import NEG_INF
+from cmreg.rees import rho_upper
 from cmreg.rings import PolyRing
 from cmreg.sweeps import (
     CAP,
     GRID_LIMITATION_NOTE,
+    VARIANTS,
     ExtRegTable,
     fit_asymptote,
     fit_sequence,
     reg_to_text,
     sweep,
-    thread_count,
     verify_bounds,
 )
 
@@ -49,14 +51,29 @@ def test_sweep_reduced_hypersurface_both_variants():
                 assert T.cell("quotient", "odd", i, n) == -2 * i
 
 
-def test_sweep_deterministic_and_thread_invariant():
+def test_sweep_deterministic():
     A, M, N, I = reduced_hypersurface_setup()
     T1 = sweep(M, N, I, i_max=1, n_max=2, variants=("power", "quotient"))
     T2 = sweep(M, N, I, i_max=1, n_max=2, variants=("power", "quotient"))
     assert T1.rows() == T2.rows()
     assert T1.metadata == T2.metadata
-    T3 = sweep(M, N, I, i_max=1, n_max=2, variants=("power", "quotient"), threads=2)
-    assert T3.rows() == T1.rows()
+
+
+@pytest.mark.parametrize(
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup]
+)
+def test_grids_do_not_depend_on_characteristic(setup):
+    # the acceptance setups are defined over Z: the same cells and bound
+    # constants must come out over two primes and over the rationals
+    results = []
+    for field in (GF32003, PrimeField(101), QQ):
+        A, M, N, I = setup(field)
+        T = sweep(M, N, I, i_max=2, n_max=2, variants=VARIANTS)
+        rho = rho_upper(I, N).value
+        report = verify_bounds(T, rho, T.metadata["f"])
+        results.append((T.cells, rho, report.e_hat))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_sweep_input_validation():
@@ -67,15 +84,6 @@ def test_sweep_input_validation():
     MQ = cyclic_quotient(Q, ["x1"])
     with pytest.raises(ValueError):
         sweep(MQ, MQ, I, i_max=1, n_max=1)
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("CMREG_THREADS", raising=False)
-    assert thread_count(None) == 1
-    assert thread_count(4) == 4
-    monkeypatch.setenv("CMREG_THREADS", "3")
-    assert thread_count(None) == 3
-    assert thread_count(2) == 2
 
 
 def test_reg_to_text():
