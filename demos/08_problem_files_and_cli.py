@@ -50,61 +50,62 @@ except Exception as e:
 
 # main(argv) is the console entry point; the demo calls it directly so
 # the output lands in this terminal.  Exit codes: 0 success, 1 usage or
-# problem-file errors, 2 degree cap exceeded, 3 bound violation, 4
-# internal consistency failure.
-workdir = tempfile.mkdtemp(prefix="cmreg_demo_")
-path = os.path.join(workdir, "reduced.prob")
-with open(path, "w") as fh:
-    fh.write(PROBLEM)
+# problem-file errors or an output path that cannot be written, 2 degree
+# cap exceeded, 3 bound violation, 4 internal consistency failure.  The
+# work directory and everything written into it go away at the end.
+with tempfile.TemporaryDirectory(prefix="cmreg_demo_") as workdir:
+    path = os.path.join(workdir, "reduced.prob")
+    with open(path, "w") as fh:
+        fh.write(PROBLEM)
 
-print()
-print("$ cmreg reg", path, "--module N")
-main(["reg", path, "--module", "N"])
+    print()
+    print("$ cmreg reg", path, "--module N")
+    main(["reg", path, "--module", "N"])
 
-print()
-print("$ cmreg ext", path, "--module M --coeff N --index 3")
-main(["ext", path, "--module", "M", "--coeff", "N", "--index", "3"])
+    print()
+    print("$ cmreg ext", path, "--module M --coeff N --index 3")
+    main(["ext", path, "--module", "M", "--coeff", "N", "--index", "3"])
 
-print()
-print("$ cmreg rho", path, "--module N --ideal I")
-main(["rho", path, "--module", "N", "--ideal", "I"])
+    print()
+    print("$ cmreg rho", path, "--module N --ideal I")
+    main(["rho", path, "--module", "N", "--ideal", "I"])
 
-# sweep writes CSV and JSON; --out with atomic replacement, so a crash
-# can never leave half a file behind.
-csv_path = os.path.join(workdir, "grid.csv")
-json_path = os.path.join(workdir, "grid.json")
-code = main([
-    "sweep", path, "--module", "M", "--coeff", "N", "--ideal", "I",
-    "--imax", "2", "--nmax", "2", "--variant", "both",
-    "--csv", csv_path, "--json", json_path,
-])
-assert code == 0
-print()
-print("$ cmreg sweep ... --csv grid.csv --json grid.json")
-with open(csv_path) as fh:
-    lines = fh.read().splitlines()
-print("CSV header + first rows:")
-for line in lines[:5]:
-    print("   ", line)
-with open(json_path) as fh:
-    payload = json.load(fh)
-print("JSON metadata f =", payload["metadata"]["f"],
-      " cells =", len(payload["cells"]))
+    # sweep writes CSV and JSON; --out with atomic replacement, so a crash
+    # can never leave half a file behind.
+    csv_path = os.path.join(workdir, "grid.csv")
+    json_path = os.path.join(workdir, "grid.json")
+    code = main([
+        "sweep", path, "--module", "M", "--coeff", "N", "--ideal", "I",
+        "--imax", "2", "--nmax", "2", "--variant", "both",
+        "--csv", csv_path, "--json", json_path,
+    ])
+    assert code == 0
+    print()
+    print("$ cmreg sweep ... --csv grid.csv --json grid.json")
+    with open(csv_path) as fh:
+        lines = fh.read().splitlines()
+    print("CSV header + first rows:")
+    for line in lines[:5]:
+        print("   ", line)
+    with open(json_path) as fh:
+        payload = json.load(fh)
+    print("JSON metadata f =", payload["metadata"]["f"],
+          " cells =", len(payload["cells"]))
 
-# verify runs the sweep, bounds rho, and checks reg <= rho*n - f*i + e
-# cell by cell; exit code 3 would signal a violation, 0 means every
-# finite cell obeyed it.  The full report goes to the --json file.
-report_path = os.path.join(workdir, "report.json")
-print()
-print("$ cmreg verify ... --json report.json")
-code = main([
-    "verify", path, "--module", "M", "--coeff", "N", "--ideal", "I",
-    "--json", report_path,
-])
-with open(report_path) as fh:
-    report = json.load(fh)["report"]
-print("exit code:", code)
-print("rho_upper:", report["rho_upper"], " f:", report["f"])
-print("e_hat:", report["e_hat"])
-print("violations:", report["violations"])
-print("odd power fit along i:", report["fits"]["i"]["power/odd"])
+    # verify runs the sweep, bounds rho, and checks reg <= rho*n - f*i + e
+    # cell by cell; exit code 3 would signal a violation, 0 means every
+    # finite cell obeyed it.  The full report goes to the --json file.
+    report_path = os.path.join(workdir, "report.json")
+    print()
+    print("$ cmreg verify ... --json report.json")
+    code = main([
+        "verify", path, "--module", "M", "--coeff", "N", "--ideal", "I",
+        "--json", report_path,
+    ])
+    with open(report_path) as fh:
+        report = json.load(fh)["report"]
+    print("exit code:", code)
+    print("rho_upper:", report["rho_upper"], " f:", report["f"])
+    print("e_hat:", report["e_hat"])
+    print("violations:", report["violations"])
+    print("odd power fit along i:", report["fits"]["i"]["power/odd"])

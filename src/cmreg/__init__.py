@@ -95,4 +95,5 @@ from .trigraded import (
     component_twists,
     compositions,
     max_twist_bound_check,
+    twist_histogram,
 )

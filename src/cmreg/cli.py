@@ -1,8 +1,9 @@
 """Command line surface.
 
 Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound.
-Exit codes: 0 success, 1 parse/semantic error, 2 degree-cap breach,
-3 bound violation, 4 internal consistency failure.
+Exit codes: 0 success, 1 parse/semantic error or an output path that
+cannot be written, 2 degree-cap breach, 3 bound violation, 4 internal
+consistency failure.
 
 Output files are written atomically (unique temp file, fsync, rename).
 CSV rows are `variant,parity,i,n,reg` with the literal `-inf` for vanishing
@@ -40,7 +41,6 @@ from .trigraded import (
     TrigradedFreeData,
     TrigradedRingSpec,
     bound_constants,
-    component_bound,
     max_twist_bound_check,
 )
 
@@ -79,10 +79,13 @@ def atomic_write(path: str, text: str):
 
 
 def _emit(text: str, out=None):
-    if out:
-        atomic_write(out, text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        atomic_write(out, text)
+    except OSError as exc:
+        raise CmregError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,9 +248,9 @@ def cmd_sweep(args):
     pf = _load(args.problem)
     T, _, _, _ = _run_sweep(pf, args)
     if args.csv:
-        atomic_write(args.csv, _table_csv(T))
+        _emit(_table_csv(T), args.csv)
     if args.json:
-        atomic_write(args.json, json.dumps(_table_json(T, args.rho), indent=1) + "\n")
+        _emit(json.dumps(_table_json(T, args.rho), indent=1) + "\n", args.json)
     if not args.csv and not args.json:
         sys.stdout.write(_table_csv(T))
     return 0
@@ -340,7 +343,7 @@ def cmd_trigraded_bound(args):
         "imax": i_max,
         "nmax": n_max,
         "bound": [
-            [component_bound(spec, data, i, n) for n in range(n_max + 1)]
+            [spec.g1 * i + spec.h1 * n + e for n in range(n_max + 1)]
             for i in range(i_max + 1)
         ],
         "checks_passed": checks,

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Exit-code mapping used by the command line tool:
-parse/semantic errors -> 1, degree-cap breaches -> 2, bound violations -> 3,
-internal consistency failures -> 4.
+parse/semantic errors and unwritable outputs -> 1, degree-cap breaches -> 2,
+bound violations -> 3, internal consistency failures -> 4.
 """
 
 

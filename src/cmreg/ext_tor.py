@@ -12,8 +12,6 @@ boundaries as the previous differential's columns plus those relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalConsistencyError
 from .freemod import (
     GradedFreeModule,
@@ -35,7 +33,6 @@ from .groebner import (
 from .resolution import FreeResolution, resolve_over_A
 
 
-@dataclass
 class SubquotientPresentation:
     """Z/B inside an ambient free module, with a derived presentation.
 
@@ -43,11 +40,19 @@ class SubquotientPresentation:
     the presentation's cover basis corresponds to them in order.
     """
 
-    ambient: GradedFreeModule
-    cycles: list
-    boundaries: list
-    generators: list
-    presentation: ModulePresentation
+    def __init__(
+        self,
+        ambient: GradedFreeModule,
+        cycles: list,
+        boundaries: list,
+        generators: list,
+        presentation: ModulePresentation,
+    ):
+        self.ambient = ambient
+        self.cycles = cycles
+        self.boundaries = boundaries
+        self.generators = generators
+        self.presentation = presentation
 
 
 def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):

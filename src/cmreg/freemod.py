@@ -9,8 +9,6 @@ representatives and canonical forms are taken entrywise mod (z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HomogeneityError
 from .rings import GradedPoly, PolyRing, QuotientRing, base_poly_ring
 
@@ -270,11 +268,20 @@ def zero_map_into(target: GradedFreeModule) -> GradedMap:
 # -- presentations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ModulePresentation:
-    """A finitely generated graded module as coker of a homogeneous map."""
+    """A finitely generated graded module as coker of a homogeneous map.
+    Immutable, and equal to another exactly when their relations are."""
 
-    relations: GradedMap
+    def __init__(self, relations: GradedMap):
+        object.__setattr__(self, "relations", relations)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: presentations are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.relations == other.relations
 
     @property
     def cover(self) -> GradedFreeModule:

@@ -11,7 +11,6 @@ and reports the smallest d(J) among them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .errors import ReductionPreconditionError
@@ -130,14 +129,14 @@ def quotient_module(
     return ModulePresentation(map_from_columns(twists, F, cols))
 
 
-@dataclass
 class ReductionCertificate:
     """Witness that I^{n0+1} N = J I^{n0} N, or the absence of one below
     n_max (inconclusive, not a disproof)."""
 
-    ideal: IdealData
-    witness: object  # int or None
-    n_max: int
+    def __init__(self, ideal: IdealData, witness, n_max: int):
+        self.ideal = ideal
+        self.witness = witness  # int or None
+        self.n_max = n_max
 
     @property
     def found(self) -> bool:
@@ -184,16 +183,22 @@ def d_of(J: IdealData) -> int:
     return J.d1()
 
 
-@dataclass
 class RhoBound:
     """Certified upper bound for rho_N(I); never an exact claim."""
 
-    value: int
-    witness: IdealData
-    certificate: ReductionCertificate
-    truncated: bool
-
     label = "upper bound"
+
+    def __init__(
+        self,
+        value: int,
+        witness: IdealData,
+        certificate: ReductionCertificate,
+        truncated: bool,
+    ):
+        self.value = value
+        self.witness = witness
+        self.certificate = certificate
+        self.truncated = truncated
 
 
 SUBSET_ENUM_LIMIT = 8

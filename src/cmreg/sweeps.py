@@ -13,8 +13,6 @@ recorded with the CAP marker and the run continues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DegreeCapExceeded
 from .ext_tor import ext
 from .freemod import NEG_INF, ModulePresentation
@@ -40,7 +38,6 @@ GRID_LIMITATION_NOTE = (
 )
 
 
-@dataclass
 class ExtRegTable:
     """Regularity values on the (variant, parity, i, n) grid.
 
@@ -49,11 +46,14 @@ class ExtRegTable:
     PARITY_NAMES[l].
     """
 
-    i_max: int
-    n_max: int
-    variants: tuple
-    cells: dict
-    metadata: dict = field(default_factory=dict)
+    def __init__(
+        self, i_max: int, n_max: int, variants: tuple, cells: dict, metadata: dict = None
+    ):
+        self.i_max = i_max
+        self.n_max = n_max
+        self.variants = variants
+        self.cells = cells
+        self.metadata = {} if metadata is None else metadata
 
     def cell(self, variant, parity, i, n):
         return self.cells[(variant, parity, i, n)]
@@ -137,7 +137,6 @@ def sweep(
     return ExtRegTable(i_max, n_max, variants, cells, metadata)
 
 
-@dataclass
 class LinearFit:
     """Eventual-linearity report for one grid line.
 
@@ -147,10 +146,13 @@ class LinearFit:
     slope*k + intercept from index onset on.
     """
 
-    status: str
-    slope: int = None
-    intercept: int = None
-    onset: int = None
+    def __init__(
+        self, status: str, slope: int = None, intercept: int = None, onset: int = None
+    ):
+        self.status = status
+        self.slope = slope
+        self.intercept = intercept
+        self.onset = onset
 
     @property
     def linear(self):
@@ -195,7 +197,6 @@ def fit_asymptote(T: ExtRegTable, axis: str) -> dict:
     return out
 
 
-@dataclass
 class BoundReport:
     """Verification of reg <= rho_hat*n - f*i + e_hat over one table.
 
@@ -205,14 +206,25 @@ class BoundReport:
     (variant, parity).  note always carries GRID_LIMITATION_NOTE.
     """
 
-    rho_hat: int
-    f: int
-    e_hat: dict
-    tightness: dict
-    violations: list
-    unverified: list
-    fits: dict
-    note: str = GRID_LIMITATION_NOTE
+    def __init__(
+        self,
+        rho_hat: int,
+        f: int,
+        e_hat: dict,
+        tightness: dict,
+        violations: list,
+        unverified: list,
+        fits: dict,
+        note: str = GRID_LIMITATION_NOTE,
+    ):
+        self.rho_hat = rho_hat
+        self.f = f
+        self.e_hat = e_hat
+        self.tightness = tightness
+        self.violations = violations
+        self.unverified = unverified
+        self.fits = fits
+        self.note = note
 
     @property
     def ok(self):

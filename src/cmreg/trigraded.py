@@ -4,7 +4,10 @@ deg(Y_j) = (0,1,h_j) and deg(Z_k) = (1,0,g_k), with h and g sorted
 descending.  A free S-module summand S(-b1, -b2, -a) contributes to the
 (i, n, *) component one Q-twist a + sum(u_j h_j) + sum(v_k g_k) for every
 composition u of n - b2 into b parts and v of i - b1 into c parts, and
-nothing when i < b1 or n < b2.  The constants
+nothing when i < b1 or n < b2.  Components are computed as histograms
+{twist: multiplicity}, built by dynamic programming over the weights
+rather than by listing compositions; `compositions` remains the
+enumeration that defines them.  The constants
 
     c_l = max over level-l generators of (a - g1*b1 - h1*b2)
     e   = max over levels of (c_l - l)
@@ -19,7 +22,10 @@ the harness's job.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .freemod import NEG_INF
 
@@ -110,18 +116,38 @@ def compositions(total, parts):
     return out
 
 
-def component_twists(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
-    """Multiset (sorted list) of Q-twists in the (i, n, *) component of F_l."""
-    out = []
+@lru_cache(maxsize=1024)
+def _weight_sums(weights, total):
+    """Read-only {w.u: count} over the weak compositions u of total into
+    len(weights) parts.  Adding a part of weight w to the table gives
+    new[m] = old[m] + shift(new[m-1], w): the new part is 0, or one more
+    than in a composition of m - 1."""
+    table = [{0: 1}] + [{} for _ in range(total)]
+    for w in weights:
+        for m in range(1, total + 1):
+            new = Counter(table[m])
+            for s, count in table[m - 1].items():
+                new[s + w] += count
+            table[m] = new
+    return MappingProxyType(dict(table[total]))
+
+
+def twist_histogram(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
+    """Counter {twist: multiplicity} of the (i, n, *) component of F_l."""
+    hist = Counter()
     for b1, b2, a in data.level(l):
         if i < b1 or n < b2:
             continue
-        for u in compositions(n - b2, spec.b):
-            hu = sum(uj * hj for uj, hj in zip(u, spec.h))
-            for v in compositions(i - b1, spec.c):
-                out.append(a + hu + sum(vk * gk for vk, gk in zip(v, spec.g)))
-    out.sort()
-    return out
+        gsums = _weight_sums(spec.g, i - b1)
+        for hu, hcount in _weight_sums(spec.h, n - b2).items():
+            for gv, gcount in gsums.items():
+                hist[a + hu + gv] += hcount * gcount
+    return hist
+
+
+def component_twists(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
+    """Multiset (sorted list) of Q-twists in the (i, n, *) component of F_l."""
+    return sorted(twist_histogram(spec, data, l, i, n).elements())
 
 
 def component_twist_count(spec, b1, b2, i, n):
@@ -143,18 +169,15 @@ def component_bound(spec: TrigradedRingSpec, data: TrigradedFreeData, i, n):
 def max_twist_bound_check(spec, data, l, i, n) -> bool:
     """max component twist <= g1*i + h1*n + c_l; vacuously true when the
     component (or the level) is empty."""
-    twists = component_twists(spec, data, l, i, n)
-    if not twists:
+    hist = twist_histogram(spec, data, l, i, n)
+    if not hist:
         return True
-    gens = data.level(l)
-    if not gens:
-        return True
-    cl = max(a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in gens)
-    return max(twists) <= spec.g1 * i + spec.h1 * n + cl
+    cl = max(a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in data.level(l))
+    return max(hist) <= spec.g1 * i + spec.h1 * n + cl
 
 
 def free_component_regularity(spec, data, i, n):
     """For free data concentrated in level 0 the component is a free
     Q-module, so its regularity is the maximal twist (NEG_INF if empty)."""
-    twists = component_twists(spec, data, 0, i, n)
-    return max(twists) if twists else NEG_INF
+    hist = twist_histogram(spec, data, 0, i, n)
+    return max(hist) if hist else NEG_INF

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
 
@@ -263,3 +264,26 @@ def test_trigraded_bound_command(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", json.dumps({"spec": {}}))
     assert main(["trigraded-bound", bad]) == 1
     capsys.readouterr()
+
+
+def test_unwritable_output_exit_1(tmp_path):
+    missing = tmp_path / "missing"
+    prob = _write(tmp_path, "red.prob", REDUCED)
+    blob = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]}, "data": {"0": [[0, 0, 5]]}}
+    data = _write(tmp_path, "tri.json", json.dumps(blob))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["sweep", prob, "--module", "M", "--coeff", "N", "--ideal", "I",
+         "--imax", "1", "--nmax", "1", "--csv", str(missing / "out.csv")],
+        ["trigraded-bound", data, "--out", str(missing / "o.json")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmreg.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("cmreg: cannot write " + str(missing)), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+    assert not missing.exists()

@@ -27,3 +27,5 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    # nothing the demo made in the temp dir outlives it
+    assert not list(tmp_path.glob("cmreg_demo_*"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from cmreg.freemod import NEG_INF
 from cmreg.trigraded import (
     TrigradedFreeData,
     TrigradedRingSpec,
+    _weight_sums,
     bound_constants,
     component_bound,
     component_twist_count,
@@ -18,6 +20,7 @@ from cmreg.trigraded import (
     compositions,
     free_component_regularity,
     max_twist_bound_check,
+    twist_histogram,
 )
 
 
@@ -44,6 +47,50 @@ def _random_data(rng, spec):
         if gens:
             levels[l] = gens
     return TrigradedFreeData(levels, spec)
+
+
+def _reference_twists(spec, data, l, i, n):
+    """The defining enumeration: one twist a + h.u + g.v per generator and
+    pair of compositions (u, v), listed one by one."""
+    out = []
+    for b1, b2, a in data.level(l):
+        if i < b1 or n < b2:
+            continue
+        for u in compositions(n - b2, spec.b):
+            hu = sum(uj * hj for uj, hj in zip(u, spec.h))
+            for v in compositions(i - b1, spec.c):
+                out.append(a + hu + sum(vk * gk for vk, gk in zip(v, spec.g)))
+    out.sort()
+    return out
+
+
+def test_histogram_matches_reference_enumeration(seed):
+    rng = random.Random(seed + 23)
+    specs = [_random_spec(rng) for _ in range(20)]
+    specs.append(TrigradedRingSpec(1, 0, 2, [], [3, 1]))  # b = 0: only n = b2 survives
+    specs.append(TrigradedRingSpec(1, 2, 0, [2, 2], []))  # c = 0: only i = b1 survives
+    for spec in specs:
+        data = _random_data(rng, spec)
+        for l in data.levels:
+            for i in range(10):
+                for n in range(10):
+                    ref = _reference_twists(spec, data, l, i, n)
+                    assert component_twists(spec, data, l, i, n) == ref
+                    assert twist_histogram(spec, data, l, i, n) == Counter(ref)
+
+
+@given(st.lists(st.integers(0, 6), max_size=4), st.integers(0, 10))
+def test_weight_sums_shape(weights, m):
+    sums = _weight_sums(tuple(weights), m)
+    k = len(weights)
+    if m == 0:
+        assert sums == {0: 1}
+    elif k == 0:
+        assert sums == {}
+    if k:
+        assert sum(sums.values()) == comb(m + k - 1, k - 1)
+        assert min(sums) == m * min(weights)
+        assert max(sums) == m * max(weights)
 
 
 @given(st.integers(0, 8), st.integers(0, 4))
