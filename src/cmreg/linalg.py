@@ -1,9 +1,9 @@
 """Exact dense linear algebra over a coefficient field.
 
-Matrices are lists of row lists of field elements.  Everything here is
-plain Gaussian elimination; it is the independent engine behind graded-piece
-dimension counts, the Betti-number oracle, and exactness checks, so it
-deliberately shares no code with the Groebner machinery.
+Matrices are lists of row lists of field elements.  Elimination updates a
+row only on the support of the pivot row, so zero cells cost no arithmetic;
+it is the independent engine behind graded-piece dimension counts, the Betti
+oracle and exactness checks, so it shares no code with the Groebner machinery.
 """
 
 from __future__ import annotations
@@ -14,28 +14,34 @@ def row_reduce(rows, field):
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
+    zero, mul, sub = field.zero, field.mul, field.sub
+
+    def eliminate(targets, prow, c):
+        # clear column c of each target row, touching only prow's support
+        support = [(j, y) for j, y in enumerate(prow) if y != zero]
+        for row in targets:
+            f = row[c]
+            if f != zero:
+                for j, y in support:
+                    row[j] = sub(row[j], mul(f, y))
+
     pivots = []
     r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != field.zero:
-                pr = i
-                break
-        if pr is None:
+    for c in range(len(m[0])):
+        candidates = [i for i in range(r, len(m)) if m[i][c] != zero]
+        if not candidates:
             continue
+        # the answer is unique, so pivot on the sparsest row: least fill-in
+        pr = max(candidates, key=lambda i: m[i].count(zero))
         m[r], m[pr] = m[pr], m[r]
         inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        m[r] = prow = [x if x == zero else mul(inv, x) for x in m[r]]
+        eliminate(m[r + 1:], prow, c)
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
+    # back substitution, last pivot first, so every row subtracted is final
+    for k in range(r - 1, 0, -1):
+        eliminate(m[:k], m[k], pivots[k])
     return m[:r], pivots
 
 
@@ -47,11 +53,14 @@ def reduce_vector(vec, rref_rows, pivots, field):
     """Residual of vec after eliminating against a reduced echelon form;
     the result is supported on non-pivot columns only.  It is enough that
     each row has 1 at its pivot and 0 at the pivots of the rows before it."""
+    zero, mul, sub = field.zero, field.mul, field.sub
     v = list(vec)
     for row, p in zip(rref_rows, pivots):
-        if v[p] != field.zero:
-            f = v[p]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+        f = v[p]
+        if f != zero:
+            for j, y in enumerate(row):
+                if y != zero:
+                    v[j] = sub(v[j], mul(f, y))
     return v
 
 

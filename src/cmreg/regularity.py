@@ -130,40 +130,29 @@ class GradedPieces:
         return out
 
 
-def _koszul_subsets(d: int, i: int):
-    return list(combinations(range(d), i))
-
-
 def _koszul_matrix(pieces: GradedPieces, i: int, j: int):
     """Matrix of the Koszul differential K_i -> K_{i-1} on internal degree j,
-    with (K_i)_j = sum over i-subsets S of M_{j-i}.  For i = 0 the target is
-    zero and an empty matrix with the right column count is returned."""
+    with (K_i)_j = sum over i-subsets S of M_{j-i}, and its column count.
+    For i = 0 the target is zero and the matrix has no rows."""
     d = pieces.ring.nvars
-    field = pieces.field
-    srcs = _koszul_subsets(d, i)
+    srcs = list(combinations(range(d), i))
     sdim = pieces.dim(j - i)
     ncols = sdim * len(srcs)
     if i == 0:
-        return [], 0, ncols
-    tgts = _koszul_subsets(d, i - 1)
-    tgt_index = {S: t for t, S in enumerate(tgts)}
+        return [], ncols
+    tgt_index = {T: t for t, T in enumerate(combinations(range(d), i - 1))}
     tdim = pieces.dim(j - i + 1)
-    nrows = tdim * len(tgts)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
+    rows = [[pieces.field.zero] * ncols for _ in range(tdim * len(tgt_index))]
     for si, S in enumerate(srcs):
+        # dropping the r-th variable of S gives a different target for each
+        # r, so every block is written once, with sign (-1)^r
         for r, var in enumerate(S):
-            T = tuple(v for v in S if v != var)
-            ti = tgt_index[T]
-            mm = pieces.mult_matrix(var, j - i)
-            sign_neg = r % 2 == 1
-            for a in range(tdim):
-                row = rows[ti * tdim + a]
-                for b in range(sdim):
-                    val = mm[a][b]
-                    if sign_neg:
-                        val = field.neg(val)
-                    row[si * sdim + b] = field.add(row[si * sdim + b], val)
-    return rows, nrows, ncols
+            ti = tgt_index[S[:r] + S[r + 1:]]
+            for a, mrow in enumerate(pieces.mult_matrix(var, j - i)):
+                rows[ti * tdim + a][si * sdim:(si + 1) * sdim] = (
+                    [pieces.field.neg(x) for x in mrow] if r % 2 else mrow
+                )
+    return rows, ncols
 
 
 def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
@@ -191,13 +180,18 @@ def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
         deg_cap = recommended
     partial = deg_cap < recommended
     pieces = GradedPieces(MQ, lo - 1, deg_cap + 1)
+    # each Koszul differential d_i is built and ranked once per degree j:
+    # beta_ij = dim ker (d_i)_j - dim im (d_{i+1})_j
+    ker, im = {}, {}
+    for i in range(d + 2):
+        for j in range(lo, deg_cap + 1):
+            rows, ncols = _koszul_matrix(pieces, i, j)
+            im[i, j] = rank(rows, pieces.field)
+            ker[i, j] = ncols - im[i, j]
     entries = {}
     for i in range(d + 1):
         for j in range(lo, deg_cap + 1):
-            di, _, nc_i = _koszul_matrix(pieces, i, j)
-            dnext, _, _ = _koszul_matrix(pieces, i + 1, j)
-            ker = nc_i - rank(di, pieces.field)
-            b = ker - rank(dnext, pieces.field)
+            b = ker[i, j] - im[i + 1, j]
             if b:
                 entries[(i, j)] = b
     return BettiTable(

@@ -30,13 +30,22 @@ from types import MappingProxyType
 from .freemod import NEG_INF
 
 
+def _integer(x):
+    """x as an int; ValueError unless it is an int or an integral float."""
+    if type(x) is int or type(x) is float and x.is_integer():
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
 class TrigradedRingSpec:
-    """Variable counts (d, b, c) and twist weights h (len b), g (len c);
-    both weight lists are sorted descending on construction."""
+    """Variable counts (d, b, c) and twist weights h (len b), g (len c),
+    all integers; both weight lists are sorted descending on construction."""
 
     __slots__ = ("d", "b", "c", "h", "g")
 
     def __init__(self, d, b, c, h, g):
+        d, b, c = _integer(d), _integer(b), _integer(c)
+        h, g = [_integer(x) for x in h], [_integer(x) for x in g]
         if len(h) != b or len(g) != c:
             raise ValueError("weight list lengths must match b and c")
         self.d = d
@@ -74,7 +83,7 @@ class TrigradedFreeData:
                 raise ValueError(
                     f"level {l} exceeds d' = {spec.homological_range}"
                 )
-            gens = [tuple(int(x) for x in gtuple) for gtuple in gens]
+            gens = [tuple(_integer(x) for x in gtuple) for gtuple in gens]
             for gtuple in gens:
                 if len(gtuple) != 3:
                     raise ValueError("multidegrees are (b1, b2, a) triples")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import random
+from collections import Counter
 
 from helpers import cyclic_quotient, random_presentation
 from cmreg.fields import GF32003, QQ
@@ -53,3 +55,24 @@ def test_oracle_partial_window_flag():
     # entries below the cap agree with the full table
     for (i, j), b in small.entries.items():
         assert full.entries.get((i, j)) == b
+
+
+def test_oracle_builds_each_koszul_matrix_once(monkeypatch):
+    # `cmreg.regularity` as an attribute is the re-exported function
+    R = importlib.import_module("cmreg.regularity")
+    built = Counter()
+    real = R._koszul_matrix
+
+    def counting(pieces, i, j):
+        built[i, j] += 1
+        return real(pieces, i, j)
+
+    monkeypatch.setattr(R, "_koszul_matrix", counting)
+    Q3 = PolyRing(3, GF32003)
+    M = cyclic_quotient(Q3, ["x1^2", "x2*x3", "x1*x3^2"])
+    table = betti_oracle(M)
+    assert built and max(built.values()) == 1
+    # d_0 .. d_4 for 3 variables, over the whole window, nothing more
+    lo, hi = table.window
+    assert set(built) == {(i, j) for i in range(5) for j in range(lo, hi + 1)}
+    assert table == _resolution_betti(M)

@@ -287,3 +287,20 @@ def test_unwritable_output_exit_1(tmp_path):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
     assert not missing.exists()
+
+
+def test_trigraded_non_integer_weights_exit_1(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for h in (["a"], [[2]]):
+        blob = {"spec": {"d": 1, "b": 1, "c": 1, "h": h, "g": [3]}, "data": {"0": [[0, 0, 1]]}}
+        data = _write(tmp_path, "tri.json", json.dumps(blob))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmreg.cli", "trigraded-bound", data], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("cmreg: bad trigraded data: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""

@@ -114,6 +114,28 @@ def test_spec_sorts_weights_descending():
     assert spec.homological_range == 7
 
 
+def test_spec_rejects_non_integers():
+    for bad in ("a", [2], 2.5, None, True):
+        with pytest.raises(ValueError):
+            TrigradedRingSpec(1, 1, 1, [bad], [3])
+        with pytest.raises(ValueError):
+            TrigradedRingSpec(1, 1, 1, [2], [bad])
+        with pytest.raises(ValueError):
+            TrigradedRingSpec(bad, 1, 1, [2], [3])
+    with pytest.raises(ValueError):
+        TrigradedRingSpec(1, 1.5, 1, [2], [3])
+    with pytest.raises(ValueError):
+        TrigradedRingSpec(1, 1, "1", [2], [3])
+    # integral floats, as JSON may spell them, are accepted as ints
+    spec = TrigradedRingSpec(1.0, 1, 1, [2.0], [3])
+    assert spec.d == 1 and spec.h == (2,) and type(spec.h1) is int
+    # multidegrees are not truncated to integers either
+    for bad in (2.5, "2", None):
+        with pytest.raises(ValueError):
+            TrigradedFreeData({0: [(0, 0, bad)]}, spec)
+    assert TrigradedFreeData({0: [(0, 0, 2.0)]}, spec).level(0) == [(0, 0, 2)]
+
+
 def test_data_validation():
     spec = TrigradedRingSpec(1, 1, 1, [2], [2])
     with pytest.raises(ValueError):
