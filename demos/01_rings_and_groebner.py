@@ -17,7 +17,6 @@ from cmreg.freemod import (
     vec_mul_poly,
 )
 from cmreg.groebner import (
-    buchberger,
     kernel,
     normal_form,
     preimage,
@@ -84,11 +83,9 @@ w = vec_mul_poly(v1, Q.poly("x2"))
 print("x2*v1 in the submodule:", submodule_contains(gb, w))
 print("NF(x2*v1) =", normal_form(w, gb))
 
-# buchberger also runs with a degree cap; tracked=True keeps expression
-# data so preimages can be read off afterwards.
-gens = [(Q.poly("x1"),), (Q.poly("x2^2"),)]
+# preimage writes a vector in terms of the columns of a map: it reduces
+# against one elimination basis of the map's graph.
 G1 = GradedFreeModule(Q, (0,))
-gbt = buchberger(gens, G1, cap=None, tracked=True)
 target = (Q.poly("x1*x2^2 + x1^2*x2"),)
 phi = GradedMap(GradedFreeModule(Q, (1, 2)), G1, [[Q.poly("x1"), Q.poly("x2^2")]])
 coeffs = preimage(phi, target)

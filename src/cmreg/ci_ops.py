@@ -8,9 +8,10 @@ lies in (z_1..z_c), so
     d~ o d~ = sum_j z_j * t~_j
 
 for degree-preserving maps t~_j : F_{l} -> F_{l-2}(-f_j), f_j = deg z_j.
-The coefficient maps are extracted by exact division against a tracked
-Groebner basis of (z); a nonzero division remainder would contradict
-d^2 = 0 over A and raises InternalConsistencyError.
+The coefficients of each entry are a preimage under the map
+(z_1..z_c) : Q(-f_1) + ... + Q(-f_c) -> Q, read off one Elimination basis,
+so they come out reduced modulo the Koszul syzygies of z; an entry outside
+(z) would contradict d^2 = 0 over A and raises InternalConsistencyError.
 
 Each t~_j induces an operator chi_j : Ext^i_A(M, N) -> Ext^{i+2}_A(M, N)(-f_j)
 by precomposition; these commute with one another up to homotopy, hence
@@ -31,14 +32,7 @@ from .freemod import (
     vec_is_zero,
     vec_reduce_entries,
 )
-from .groebner import (
-    DEFAULT_DEGREE_CAP,
-    Elimination,
-    buchberger,
-    divide,
-    normal_form,
-    submodule_gb,
-)
+from .groebner import DEFAULT_DEGREE_CAP, Elimination, normal_form, submodule_gb
 from .rings import QuotientRing
 
 
@@ -80,26 +74,6 @@ def lift_resolution(R) -> LiftedResolution:
     return LiftedResolution(Q, modules, maps)
 
 
-def _z_coefficients(p, gbz, nrels):
-    """Write the Q-polynomial p as sum_j c_j z_j via the tracked basis gbz
-    of (z_1..z_c); returns the list [c_1..c_c]."""
-    ring = p.ring
-    remainder, quotients = divide((p,), gbz)
-    if not remainder[0].is_zero():
-        raise InternalConsistencyError(
-            "nonzero CI-division remainder: lifted d^2 entry not in (z)"
-        )
-    coeffs = [ring.zero] * nrels
-    for t, q in enumerate(quotients):
-        if q.is_zero():
-            continue
-        for j in range(nrels):
-            rep = gbz.reps[t][j]
-            if not rep.is_zero():
-                coeffs[j] = coeffs[j] + q * rep
-    return coeffs
-
-
 class CIOperators:
     """The t~_j : F_l -> F_{l-2}(-f_j) for 2 <= l <= length, j in relation
     input order; fs are the deg(z_j) and f = min(fs)."""
@@ -115,10 +89,6 @@ class CIOperators:
     @property
     def f(self):
         return min(self.fs)
-
-    @property
-    def nops(self):
-        return len(self.fs)
 
     def t(self, j, l) -> GradedMap:
         """t~_j at homological level l, a map F_l -> F_{l-2}(-f_j)."""
@@ -151,12 +121,10 @@ def eisenbud_operators(R) -> CIOperators:
     Q = ring.base
     L = lift_resolution(R)
     fs = tuple(z.degree for z in ring.relations)
-    gbz = buchberger(
-        [(z,) for z in ring.relations],
-        GradedFreeModule(Q, (0,)),
-        cap=None,
-        tracked=True,
+    zmap = GradedMap(
+        GradedFreeModule(Q, fs), GradedFreeModule(Q, (0,)), [ring.relations]
     )
+    elim = Elimination(zmap, cap=None)
     c = len(fs)
     operators = {j: {} for j in range(c)}
     for l in range(2, R.length + 1):
@@ -170,7 +138,12 @@ def eisenbud_operators(R) -> CIOperators:
                 p = comp.matrix[k][m]
                 if p.is_zero():
                     continue
-                for j, cj in enumerate(_z_coefficients(p, gbz, c)):
+                coeffs = elim.preimage((p,))
+                if coeffs is None:
+                    raise InternalConsistencyError(
+                        "lifted d^2 entry not in (z)"
+                    )
+                for j, cj in enumerate(coeffs):
                     mats[j][k][m] = cj
         for j in range(c):
             operators[j][l] = GradedMap(

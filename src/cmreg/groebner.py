@@ -13,7 +13,8 @@ outright, and within a position the ring's monomial order applies.
 Kernels and preimages of a map phi come from one elimination basis:
 Elimination(phi) builds it once, and its kernel() and preimage(b) methods
 share it.  The module-level kernel() and preimage() build a fresh one per
-call.
+call.  A preimage is the package's only way to write an element in terms
+of generators; Groebner bases carry no expression data.
 """
 
 from __future__ import annotations
@@ -80,21 +81,16 @@ class ModuleOrder:
 
 
 class GroebnerBasis:
-    """Reduced monic Groebner basis of a submodule of a free Q-module.
+    """Reduced monic Groebner basis of a submodule of a free Q-module;
+    elements are plain vectors sorted by ascending leading term."""
 
-    elements are plain vectors sorted by ascending leading term; reps (when
-    tracked) express each element in terms of the original input generators.
-    """
+    __slots__ = ("ambient", "order", "elements", "leading_terms")
 
-    __slots__ = ("ambient", "order", "elements", "leading_terms", "reps", "ngens")
-
-    def __init__(self, ambient, order, elements, leading_terms, reps, ngens):
+    def __init__(self, ambient, order, elements, leading_terms):
         self.ambient = ambient
         self.order = order
         self.elements = elements
         self.leading_terms = leading_terms
-        self.reps = reps
-        self.ngens = ngens
 
     def __len__(self):
         return len(self.elements)
@@ -103,16 +99,10 @@ class GroebnerBasis:
         return iter(self.elements)
 
 
-def _reduce(vec, elements, lts, order, track=False, ring=None):
-    """Full normal form of vec against (elements, lts).
-
-    Returns (remainder, quotients) with vec = sum q_t * elements[t] + r.
-    quotients is None unless track is set.  Divisor ties go to the earliest
-    element in list order.
-    """
-    if ring is None:
-        ring = order.ambient.base
-    quotients = [ring.zero] * len(elements) if track else None
+def _reduce(vec, elements, lts, order):
+    """Full normal form (remainder) of vec against (elements, lts).
+    Divisor ties go to the earliest element in list order."""
+    ring = order.ambient.base
     remainder_terms = [dict() for _ in range(len(vec))]
     cur = vec
     while not vec_is_zero(cur):
@@ -122,16 +112,13 @@ def _reduce(vec, elements, lts, order, track=False, ring=None):
                 q_exps = monomial_div(e, ge)
                 q_coeff = ring.field.div(c, gc)
                 cur = vec_sub(cur, vec_mul_term(elements[t], q_exps, q_coeff))
-                if track:
-                    quotients[t] = quotients[t] + ring.monomial(q_exps, q_coeff)
                 break
         else:
             remainder_terms[k][e] = c
             cur = vec_sub(cur, _term_vector(ring, len(cur), k, e, c))
-    remainder = tuple(
+    return tuple(
         ring.from_terms(t) if t else ring.zero for t in remainder_terms
     )
-    return remainder, quotients
 
 
 def _term_vector(ring, length, k, e, c):
@@ -141,13 +128,7 @@ def _term_vector(ring, length, k, e, c):
 
 def normal_form(vec, gb: GroebnerBasis):
     """Canonical representative of vec modulo the submodule of gb."""
-    r, _ = _reduce(vec, gb.elements, gb.leading_terms, gb.order)
-    return r
-
-
-def divide(vec, gb: GroebnerBasis):
-    """(remainder, quotients) with vec = sum q_t gb.elements[t] + remainder."""
-    return _reduce(vec, gb.elements, gb.leading_terms, gb.order, track=True)
+    return _reduce(vec, gb.elements, gb.leading_terms, gb.order)
 
 
 def buchberger(
@@ -155,7 +136,6 @@ def buchberger(
     ambient: GradedFreeModule,
     order: ModuleOrder = None,
     cap=DEFAULT_DEGREE_CAP,
-    tracked=False,
 ):
     """Reduced monic Groebner basis of the Q-submodule generated by gens.
 
@@ -165,28 +145,23 @@ def buchberger(
     (coprime leading monomial) criterion is applied only in ambient rank 1;
     it is not valid for module leading terms in general.
     """
-    ring = ambient.base
     if order is None:
         order = ModuleOrder(ambient)
-    field = ring.field
+    field = ambient.base.field
 
     vecs = []
     lts = []
-    degs = []
-    reps = [] if tracked else None
 
-    def add_element(vec, rep, from_pair):
-        d = vec_degree(ambient, vec)
-        if from_pair and cap is not None and d > cap:
-            raise DegreeCapExceeded(
-                f"Groebner element of degree {d} exceeds cap {cap}", d, cap
-            )
+    def add_element(vec, from_pair):
+        if from_pair and cap is not None:
+            d = vec_degree(ambient, vec)
+            if d > cap:
+                raise DegreeCapExceeded(
+                    f"Groebner element of degree {d} exceeds cap {cap}", d, cap
+                )
         i = len(vecs)
         vecs.append(vec)
         lts.append(order.leading_term(vec))
-        degs.append(d)
-        if tracked:
-            reps.append(rep)
         for j in range(i):
             if lts[j][0] != lts[i][0]:
                 continue
@@ -199,25 +174,17 @@ def buchberger(
             heapq.heappush(pairs, (sdeg, j, i))
 
     pairs = []
-    ngens = len(gens)
-    for m, g in enumerate(gens):
+    for g in gens:
         if vec_is_zero(g):
             continue
-        rep = None
-        if tracked:
-            one = ring.one
-            rep = tuple(one if t == m else ring.zero for t in range(ngens))
-        r, q = _reduce(g, vecs, lts, order, track=tracked, ring=ring)
-        if vec_is_zero(r):
-            continue
-        if tracked:
-            rep = _rep_after_reduction(rep, q, reps, ring)
-        add_element(r, rep, from_pair=False)
+        r = _reduce(g, vecs, lts, order)
+        if not vec_is_zero(r):
+            add_element(r, from_pair=False)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        ki, ei, ci = lts[i]
-        kj, ej, cj = lts[j]
+        _, ei, ci = lts[i]
+        _, ej, cj = lts[j]
         lcm = monomial_lcm(ei, ej)
         a = monomial_div(lcm, ei)
         b = monomial_div(lcm, ej)
@@ -225,34 +192,14 @@ def buchberger(
             vec_mul_term(vecs[i], a, field.inv(ci)),
             vec_mul_term(vecs[j], b, field.inv(cj)),
         )
-        rep = None
-        if tracked:
-            rep = tuple(
-                ri.mul_term(a, field.inv(ci)) - rj.mul_term(b, field.inv(cj))
-                for ri, rj in zip(reps[i], reps[j])
-            )
-        r, q = _reduce(s, vecs, lts, order, track=tracked, ring=ring)
-        if vec_is_zero(r):
-            continue
-        if tracked:
-            rep = _rep_after_reduction(rep, q, reps, ring)
-        add_element(r, rep, from_pair=True)
+        r = _reduce(s, vecs, lts, order)
+        if not vec_is_zero(r):
+            add_element(r, from_pair=True)
 
-    return _reduced_basis(vecs, reps, ambient, order, ngens, tracked)
+    return _reduced_basis(vecs, ambient, order)
 
 
-def _rep_after_reduction(rep, quotients, reps, ring):
-    out = list(rep)
-    for t, q in enumerate(quotients):
-        if q.is_zero():
-            continue
-        for m in range(len(out)):
-            if not reps[t][m].is_zero():
-                out[m] = out[m] - q * reps[t][m]
-    return tuple(out)
-
-
-def _reduced_basis(vecs, reps, ambient, order, ngens, tracked):
+def _reduced_basis(vecs, ambient, order):
     field = ambient.base.field
     lts = [order.leading_term(v) for v in vecs]
     # minimal: drop any element whose leading term another one divides
@@ -267,29 +214,16 @@ def _reduced_basis(vecs, reps, ambient, order, ngens, tracked):
         kept.append(i)
     vecs = [vecs[i] for i in kept]
     lts = [lts[i] for i in kept]
-    if tracked:
-        reps = [reps[i] for i in kept]
     # tail-reduce each element against the others, then scale monic
     for i in range(len(vecs)):
         others = vecs[:i] + vecs[i + 1 :]
         other_lts = lts[:i] + lts[i + 1 :]
-        r, q = _reduce(vecs[i], others, other_lts, order, track=tracked)
-        if tracked and q is not None:
-            other_reps = reps[:i] + reps[i + 1 :]
-            reps[i] = _rep_after_reduction(reps[i], q, other_reps, ambient.base)
-        c = field.inv(lts[i][2])
-        vecs[i] = vec_scale(r, c)
+        r = _reduce(vecs[i], others, other_lts, order)
+        vecs[i] = vec_scale(r, field.inv(lts[i][2]))
         lts[i] = (lts[i][0], lts[i][1], field.one)
-        if tracked:
-            reps[i] = tuple(p.scale(c) for p in reps[i])
     final = sorted(range(len(vecs)), key=lambda i: order.term_key(lts[i][0], lts[i][1]))
     return GroebnerBasis(
-        ambient,
-        order,
-        [vecs[i] for i in final],
-        [lts[i] for i in final],
-        [reps[i] for i in final] if tracked else None,
-        ngens,
+        ambient, order, [vecs[i] for i in final], [lts[i] for i in final]
     )
 
 
@@ -308,12 +242,12 @@ def relation_vectors(F: GradedFreeModule):
     return out
 
 
-def submodule_gb(gens, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP, tracked=False):
+def submodule_gb(gens, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP):
     """Groebner basis deciding membership in the submodule of F spanned by
     gens, over F's ring (relation multiples are adjoined over a quotient)."""
     ambient = GradedFreeModule(F.base, F.twists)
     all_gens = list(gens) + relation_vectors(F)
-    return buchberger(all_gens, ambient, cap=cap, tracked=tracked)
+    return buchberger(all_gens, ambient, cap=cap)
 
 
 def submodule_contains(gb: GroebnerBasis, vec) -> bool:

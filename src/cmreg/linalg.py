@@ -9,22 +9,25 @@ oracle and exactness checks, so it shares no code with the Groebner machinery.
 from __future__ import annotations
 
 
-def row_reduce(rows, field):
-    """Return (rref_rows, pivot_columns).  Input rows are not mutated."""
+def _eliminate(targets, prow, c, field):
+    """Clear column c of each target row, touching only prow's support."""
+    zero, mul, sub = field.zero, field.mul, field.sub
+    support = [(j, y) for j, y in enumerate(prow) if y != zero]
+    for row in targets:
+        f = row[c]
+        if f != zero:
+            for j, y in support:
+                row[j] = sub(row[j], mul(f, y))
+
+
+def _forward(rows, field):
+    """Forward elimination on a copy of rows: (rows, pivot_columns), where
+    the first len(pivot_columns) rows are an echelon form with unit pivots
+    and the rest are zero."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    zero, mul, sub = field.zero, field.mul, field.sub
-
-    def eliminate(targets, prow, c):
-        # clear column c of each target row, touching only prow's support
-        support = [(j, y) for j, y in enumerate(prow) if y != zero]
-        for row in targets:
-            f = row[c]
-            if f != zero:
-                for j, y in support:
-                    row[j] = sub(row[j], mul(f, y))
-
+    zero, mul = field.zero, field.mul
     pivots = []
     r = 0
     for c in range(len(m[0])):
@@ -36,17 +39,25 @@ def row_reduce(rows, field):
         m[r], m[pr] = m[pr], m[r]
         inv = field.inv(m[r][c])
         m[r] = prow = [x if x == zero else mul(inv, x) for x in m[r]]
-        eliminate(m[r + 1:], prow, c)
+        _eliminate(m[r + 1:], prow, c, field)
         pivots.append(c)
         r += 1
+    return m, pivots
+
+
+def row_reduce(rows, field):
+    """Return (rref_rows, pivot_columns).  Input rows are not mutated."""
+    m, pivots = _forward(rows, field)
+    r = len(pivots)
     # back substitution, last pivot first, so every row subtracted is final
     for k in range(r - 1, 0, -1):
-        eliminate(m[:k], m[k], pivots[k])
+        _eliminate(m[:k], m[k], pivots[k], field)
     return m[:r], pivots
 
 
 def rank(rows, field):
-    return len(row_reduce(rows, field)[0])
+    """Row rank; the forward pass alone decides it."""
+    return len(_forward(rows, field)[1])
 
 
 def reduce_vector(vec, rref_rows, pivots, field):

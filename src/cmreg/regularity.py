@@ -53,11 +53,6 @@ def regularity(M: ModulePresentation, degree_cap=DEFAULT_DEGREE_CAP):
     return BettiTable.from_resolution(R).regularity()
 
 
-def reg_of_shift(M: ModulePresentation, a: int, degree_cap=DEFAULT_DEGREE_CAP):
-    """regularity(M(a)), which equals regularity(M) - a."""
-    return regularity(M.shift(a), degree_cap=degree_cap)
-
-
 # -- graded pieces of a Q-presentation, by pure linear algebra ----------------
 
 

@@ -259,7 +259,10 @@ def resolve_over_Q(
     With minimal set (the default) the presentation is minimized first and
     each syzygy step takes minimal generators, so the result is the minimal
     resolution; length <= number of variables by the syzygy theorem, which
-    is asserted.
+    is asserted.  With minimal unset the presentation and the early syzygy
+    steps are taken as given, but from step nvars - 1 on the kernel is free
+    and its minimal generators, a basis, are taken; so the resolution ends
+    within nvars + 1 steps (asserted too), unit entries and all.
     """
     ring = M.ring
     if isinstance(ring, QuotientRing):
@@ -279,7 +282,7 @@ def resolve_over_Q(
             )
         modules.append(current.source)
         maps.append(current)
-        nxt = _extend(current, degree_cap, minimal=minimal)
+        nxt = _extend(current, degree_cap, minimal or l + 1 >= ring.nvars)
         if nxt is None:
             break
         current = nxt

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 from helpers import (
     hypersurface_setup,
+    random_presentation,
     reduced_hypersurface_setup,
     two_relation_setup,
 )
@@ -13,8 +16,10 @@ from cmreg.ci_ops import (
     operators_commute,
 )
 from cmreg.ext_tor import ext
+from cmreg.fields import GF32003
 from cmreg.freemod import GradedMap
 from cmreg.resolution import resolve_over_A
+from cmreg.rings import PolyRing, QuotientRing
 
 
 def _ops(M, cap=6):
@@ -46,8 +51,8 @@ def test_operator_shapes_and_degrees():
     A, M, N, I = two_relation_setup()
     T = _ops(M)
     R = T.resolution
-    assert T.nops == 2 and T.fs == (2, 3) and T.f == 2
-    for j in range(T.nops):
+    assert len(T.fs) == 2 and T.fs == (2, 3) and T.f == 2
+    for j in range(len(T.fs)):
         for l in T.levels():
             tj = T.t(j, l)
             assert tj.source.twists == R.module(l).twists
@@ -128,3 +133,24 @@ def test_ext_against_operator_composition():
     chi = induced_on_ext(T, 0, 1, N)
     E3 = ext(None, N, 3, resolution=T.resolution)
     assert chi.target.cover.twists == E3.presentation.shift(-T.fs[0]).cover.twists
+
+
+def test_random_modules_where_cofactors_are_not_unique(seed):
+    # with two relations the z-coefficients of an entry of d~^2 are defined
+    # only up to the Koszul syzygy (z_2, -z_1); whichever ones come out must
+    # still satisfy the identity and give commuting operators on Ext
+    Q2 = PolyRing(2, GF32003)
+    Q3 = PolyRing(3, GF32003)
+    rings = (
+        QuotientRing(Q2, [Q2.poly("x1^2"), Q2.poly("x2^3")]),
+        QuotientRing(Q3, [Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
+    )
+    for A in rings:
+        rng = random.Random(seed)
+        for trial in range(7):
+            M = random_presentation(rng, A)
+            T = _ops(M, cap=5)
+            for l in T.levels():
+                assert T.identity_holds(l)
+            if T.levels():
+                assert operators_commute(T, M, 0, 0, 1)

@@ -26,7 +26,6 @@ from cmreg.freemod import (
 from cmreg.groebner import (
     Elimination,
     buchberger,
-    divide,
     kernel,
     minimal_generators,
     normal_form,
@@ -77,40 +76,6 @@ def test_normal_form_idempotent_and_linear(seed):
         # NF kills every generator
         for g in gens:
             assert vec_is_zero(normal_form(g, gb))
-
-
-def test_division_is_exact(seed):
-    rng = random.Random(seed)
-    F = GradedFreeModule(Q2, (0,))
-    for trial in range(25):
-        gens = _random_gens(rng, F, 2)
-        if not gens:
-            continue
-        gb = buchberger(gens, F)
-        v = _random_gens(rng, F, 1)
-        if not v:
-            continue
-        r, q = divide(v[0], gb)
-        acc = r
-        for t, g in enumerate(gb.elements):
-            acc = vec_add(acc, vec_mul_poly(g, q[t]))
-        assert acc == v[0]
-
-
-def test_tracked_reps_express_elements(seed):
-    rng = random.Random(seed)
-    F = GradedFreeModule(Q2, (0, 0))
-    for trial in range(15):
-        gens = _random_gens(rng, F, 3)
-        if not gens:
-            continue
-        gb = buchberger(gens, F, tracked=True)
-        for t, g in enumerate(gb.elements):
-            acc = None
-            for j, gen in enumerate(gens):
-                piece = vec_mul_poly(gen, gb.reps[t][j])
-                acc = piece if acc is None else vec_add(acc, piece)
-            assert acc == g
 
 
 def test_spair_normal_forms_vanish(seed):

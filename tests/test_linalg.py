@@ -132,6 +132,7 @@ def test_row_reduce_matches_dense_reference(case):
     assert rows == before  # input rows are not mutated
     ref_rref, ref_pivots = _reference_row_reduce(rows, field)
     assert (rref, pivots) == (ref_rref, ref_pivots)
+    assert rank(rows, field) == len(ref_rref)
     # equal as field elements and as Python objects of the same type
     assert [[type(x) for x in r] for r in rref] == [
         [type(x) for x in r] for r in ref_rref

@@ -5,7 +5,7 @@ import random
 from helpers import cyclic_quotient, random_presentation, random_ses
 from cmreg.fields import GF32003
 from cmreg.freemod import NEG_INF, free_presentation
-from cmreg.regularity import present_over_Q, reg_of_shift, regularity
+from cmreg.regularity import present_over_Q, regularity
 from cmreg.rings import PolyRing, QuotientRing
 
 Q2 = PolyRing(2, GF32003)
@@ -36,7 +36,6 @@ def test_shift_law(seed):
         for a in (-2, -1, 1, 3):
             expected = NEG_INF if r == NEG_INF else r - a
             assert regularity(M.shift(a)) == expected
-            assert reg_of_shift(M, a) == expected
 
 
 def test_present_over_Q_passthrough_and_pushforward():

@@ -16,7 +16,7 @@ from cmreg.freemod import (
     map_from_columns,
     vec_mul_poly,
 )
-from cmreg.regularity import regularity
+from cmreg.regularity import betti_oracle, regularity
 from cmreg.resolution import (
     BettiTable,
     betti_table,
@@ -102,6 +102,19 @@ def test_minimize_agrees_with_minimal_resolution(seed):
         squeezed = minimize(Rbig)
         assert squeezed.is_complex()
         assert betti_table(squeezed) == betti_table(Rmin)
+
+
+def test_nonminimal_resolution_over_three_variables():
+    # the 13 modules over K[x1,x2,x3] of the non-minimal Betti workload;
+    # the redundant kernel generators of module 9 used to run past the
+    # length bound, before the free kernels took minimal generators
+    rng = random.Random(20260825)
+    Q = PolyRing(3, GF32003)
+    for trial in range(13):
+        M = random_presentation(rng, Q, max_rels=3)
+        Rbig = resolve_over_Q(M, minimal=False)
+        assert Rbig.length <= Q.nvars + 1 and Rbig.is_complex()
+        assert betti_table(minimize(Rbig)) == betti_oracle(M)
 
 
 def test_minimal_presentation_drops_redundant_generator():
