@@ -33,35 +33,14 @@ from .freemod import (
     vec_reduce_entries,
 )
 from .groebner import DEFAULT_DEGREE_CAP, Elimination, normal_form, submodule_gb
+from .resolution import FreeResolution
 from .rings import QuotientRing
 
 
-class LiftedResolution:
-    """A free complex over Q carrying the matrices of an A-free resolution
-    with the same twists (the standard lifting)."""
-
-    __slots__ = ("ring", "modules", "maps")
-
-    def __init__(self, ring, modules, maps):
-        self.ring = ring
-        self.modules = modules
-        self.maps = maps
-
-    @property
-    def length(self):
-        return len(self.maps)
-
-    def module(self, l):
-        return self.modules[l]
-
-    def d(self, l):
-        """The lifted differential F_l -> F_{l-1} (1-based, like the source
-        resolution)."""
-        return self.maps[l - 1]
-
-
-def lift_resolution(R) -> LiftedResolution:
-    """Reinterpret the matrices of an A-free resolution over Q = A's base."""
+def lift_resolution(R: FreeResolution) -> FreeResolution:
+    """The standard lifting: the matrices of an A-free resolution read over
+    Q = A's base, with the same twists.  d~ o d~ lies in (z) but need not
+    vanish, so the result is usually not a complex."""
     ring = R.ring
     if not isinstance(ring, QuotientRing):
         raise ValueError("lifting expects a resolution over a quotient ring")
@@ -71,7 +50,7 @@ def lift_resolution(R) -> LiftedResolution:
         GradedMap(modules[l + 1], modules[l], R.maps[l].matrix)
         for l in range(R.length)
     ]
-    return LiftedResolution(Q, modules, maps)
+    return FreeResolution(Q, modules, maps, minimal=R.minimal)
 
 
 class CIOperators:

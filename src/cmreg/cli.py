@@ -1,8 +1,8 @@
 """Command line surface.
 
 Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound.
-Exit codes: 0 success, 1 parse/semantic error or an output path that
-cannot be written, 2 degree-cap breach, 3 bound violation, 4 internal
+Exit codes: 0 success, 1 usage, parse or semantic error or an output path
+that cannot be written, 2 degree-cap breach, 3 bound violation, 4 internal
 consistency failure.
 
 Output files are written atomically (unique temp file, fsync, rename).
@@ -35,7 +35,6 @@ from .problemfile import parse_problem
 from .rees import rho_upper
 from .regularity import present_over_Q, regularity
 from .resolution import betti_table, resolve_over_A, resolve_over_Q
-from .rings import QuotientRing
 from .sweeps import reg_to_text, sweep, verify_bounds
 from .trigraded import (
     TrigradedFreeData,
@@ -94,12 +93,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_WithMessage(message)
+        raise CmregError(message)
 
 
-class SystemExit_WithMessage(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+def nonnegative(text):
+    """The int value of text, which must be >= 0: the type of every
+    homological index, cap and grid size."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
 
 
 def _load(path: str):
@@ -125,7 +128,7 @@ def cmd_resolve(args):
     pf = _load(args.problem)
     M = pf.module(args.module)
     degree_cap = _pick_caps(pf, args)
-    if args.over == "Q" or not isinstance(pf.ring, QuotientRing):
+    if args.over == "Q":
         R = resolve_over_Q(present_over_Q(M), degree_cap=degree_cap)
     else:
         R = resolve_over_A(M, cap=args.cap, degree_cap=degree_cap)
@@ -197,18 +200,18 @@ def cmd_rho(args):
 
 
 def _run_sweep(pf, args):
+    if not pf.ring.relations:
+        raise ProblemSemanticError(
+            f"{args.command} needs a quotient line: A = Q/(z) with z nonempty"
+        )
     M = pf.module(args.module)
     N = pf.module(args.coeff)
     I = pf.ideal(args.ideal)
     degree_cap = _pick_caps(pf, args)
     i_max = args.imax if args.imax is not None else pf.params.get("imax", 3)
     n_max = args.nmax if args.nmax is not None else pf.params.get("nmax", 3)
-    hom_cap = getattr(args, "hom_cap", None) or pf.params.get("hom_cap")
     variants = ("power", "quotient") if args.variant == "both" else (args.variant,)
-    T = sweep(
-        M, N, I, i_max, n_max, variants=variants,
-        degree_cap=degree_cap, hom_cap=hom_cap,
-    )
+    T = sweep(M, N, I, i_max, n_max, variants=variants, degree_cap=degree_cap)
     return T, I, N, degree_cap
 
 
@@ -269,8 +272,6 @@ def cmd_verify(args):
     pf = _load(args.problem)
     T, I, N, degree_cap = _run_sweep(pf, args)
     f = args.f if args.f is not None else T.metadata["f"]
-    if f is None:
-        raise ProblemSemanticError("no quotient relations: pass --f explicitly")
     if args.rho is not None:
         rho_value = args.rho
     else:
@@ -325,8 +326,8 @@ def cmd_trigraded_bound(args):
             h=blob["spec"]["h"], g=blob["spec"]["g"],
         )
         data = TrigradedFreeData(blob["data"], spec)
-        i_max = int(blob.get("imax", args.imax))
-        n_max = int(blob.get("nmax", args.nmax))
+        i_max = nonnegative(blob.get("imax", args.imax))
+        n_max = nonnegative(blob.get("nmax", args.nmax))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemSemanticError(f"bad trigraded data: {exc}")
     cs, e = bound_constants(spec, data)
@@ -377,7 +378,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("resolve", help="minimal graded free resolution")
     _add_common(sp)
     sp.add_argument("--over", choices=("A", "Q"), default="A")
-    sp.add_argument("--cap", type=int, default=6, help="homological cap over A")
+    sp.add_argument("--cap", type=nonnegative, default=6, help="homological cap over A")
     sp.set_defaults(fn=cmd_resolve)
 
     sp = sub.add_parser("reg", help="Castelnuovo-Mumford regularity")
@@ -386,25 +387,24 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("ext", help="one Ext module and its regularity")
     _add_common(sp, coeff=True)
-    sp.add_argument("--index", type=int, required=True)
+    sp.add_argument("--index", type=nonnegative, required=True)
     sp.set_defaults(fn=cmd_ext)
 
     sp = sub.add_parser("tor", help="one Tor module and its regularity")
     _add_common(sp, coeff=True)
-    sp.add_argument("--index", type=int, required=True)
+    sp.add_argument("--index", type=nonnegative, required=True)
     sp.set_defaults(fn=cmd_tor)
 
     sp = sub.add_parser("rho", help="certified upper bound for rho_N(I)")
     _add_common(sp, ideal=True)
-    sp.add_argument("--nmax", type=int, default=3, help="reduction check horizon")
+    sp.add_argument("--nmax", type=nonnegative, default=3, help="reduction check horizon")
     sp.set_defaults(fn=cmd_rho)
 
     for name, fn in (("sweep", cmd_sweep), ("verify", cmd_verify)):
         sp = sub.add_parser(name, help=f"{name} an (i, n) grid")
         _add_common(sp, coeff=True, ideal=True)
-        sp.add_argument("--imax", type=int, default=None)
-        sp.add_argument("--nmax", type=int, default=None)
-        sp.add_argument("--hom-cap", dest="hom_cap", type=int, default=None)
+        sp.add_argument("--imax", type=nonnegative, default=None)
+        sp.add_argument("--nmax", type=nonnegative, default=None)
         sp.add_argument(
             "--variant", choices=("power", "quotient", "both"), default="power"
         )
@@ -420,8 +420,8 @@ def build_parser() -> _Parser:
         "trigraded-bound", help="twist-calculus bound line from free data"
     )
     sp.add_argument("data", help="JSON file with spec/data blocks")
-    sp.add_argument("--imax", type=int, default=9)
-    sp.add_argument("--nmax", type=int, default=9)
+    sp.add_argument("--imax", type=nonnegative, default=9)
+    sp.add_argument("--nmax", type=nonnegative, default=9)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_trigraded_bound)
     return ap
@@ -432,12 +432,6 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except SystemExit_WithMessage as exc:
-        print(f"cmreg: {exc}", file=sys.stderr)
-        return 1
-    except (ProblemSyntaxError, ProblemSemanticError) as exc:
-        print(f"cmreg: {exc}", file=sys.stderr)
-        return 1
     except DegreeCapExceeded as exc:
         print(f"cmreg: degree cap exceeded: {exc}", file=sys.stderr)
         return 2

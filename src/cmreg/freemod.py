@@ -4,13 +4,14 @@ A free module is a twist list over a ring: twists (a1..ar) mean
 R(-a1) + ... + R(-ar), so basis vector k is homogeneous of degree a_k.
 Module elements ("vectors") are plain tuples of GradedPoly over the base
 polynomial ring; when the ring is a quotient A = Q/(z) the entries are
-representatives and canonical forms are taken entrywise mod (z).
+representatives and canonical forms are taken entrywise mod (z).  Q itself
+is the quotient by the empty sequence, so nothing here asks which it is.
 """
 
 from __future__ import annotations
 
 from .errors import HomogeneityError
-from .rings import GradedPoly, PolyRing, QuotientRing, base_poly_ring
+from .rings import GradedPoly, PolyRing
 
 #: Regularity of the zero module.
 NEG_INF = float("-inf")
@@ -31,7 +32,7 @@ class GradedFreeModule:
 
     @property
     def base(self) -> PolyRing:
-        return base_poly_ring(self.ring)
+        return self.ring.base
 
     def shift(self, a: int) -> GradedFreeModule:
         """Shift every twist by a (rank unchanged)."""
@@ -104,9 +105,19 @@ def vec_degree(F: GradedFreeModule, v):
 
 def vec_reduce_entries(F: GradedFreeModule, v):
     """Entrywise canonical form mod (z) when F lives over a quotient ring."""
-    if isinstance(F.ring, QuotientRing) and F.ring.relations:
+    if F.ring.relations:
         return tuple(F.ring.normal_form(p) for p in v)
     return v
+
+
+def scaled_basis(F: GradedFreeModule, scalars):
+    """The vectors s * e_k of F, s outer and k inner."""
+    zero = F.base.zero
+    return [
+        tuple(s if i == k else zero for i in range(F.rank))
+        for s in scalars
+        for k in range(F.rank)
+    ]
 
 
 # -- graded pieces ----------------------------------------------------------
@@ -118,17 +129,10 @@ def piece_basis(F: GradedFreeModule, s: int):
     Over a quotient ring only standard monomials (normal forms mod (z))
     appear, so this is an honest K-basis in both cases.
     """
-    ring = F.ring
     out = []
     for k, t in enumerate(F.twists):
-        d = s - t
-        if d < 0:
-            continue
-        if isinstance(ring, QuotientRing):
-            monos = ring.std_monomials_of_degree(d)
-        else:
-            monos = ring.monomials_of_degree(d)
-        out.extend((k, e) for e in monos)
+        if s - t >= 0:
+            out.extend((k, e) for e in F.ring.std_monomials_of_degree(s - t))
     return out
 
 
@@ -152,7 +156,6 @@ def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
     Each generator of degree t is multiplied by all degree-(s-t) monomials
     (standard monomials over a quotient ring) and written in coordinates.
     """
-    ring = F.ring
     if basis is None:
         basis = piece_basis(F, s)
     rows = []
@@ -160,11 +163,7 @@ def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
         d = vec_degree(F, g)
         if d is None or d > s:
             continue
-        if isinstance(ring, QuotientRing):
-            monos = ring.std_monomials_of_degree(s - d)
-        else:
-            monos = ring.monomials_of_degree(s - d)
-        for e in monos:
+        for e in F.ring.std_monomials_of_degree(s - d):
             rows.append(vector_coords(F, vec_mul_term(g, e, 1), s, basis))
     return rows
 

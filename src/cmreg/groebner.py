@@ -26,6 +26,7 @@ from .freemod import (
     GradedFreeModule,
     GradedMap,
     basis_vector,
+    scaled_basis,
     vec_degree,
     vec_is_zero,
     vec_mul_term,
@@ -34,7 +35,6 @@ from .freemod import (
     vec_sub,
 )
 from .rings import (
-    QuotientRing,
     monomial_degree,
     monomial_div,
     monomial_divides,
@@ -231,15 +231,8 @@ def _reduced_basis(vecs, ambient, order):
 
 
 def relation_vectors(F: GradedFreeModule):
-    """The vectors z_j * e_k embedding (z)F when F lives over a quotient."""
-    out = []
-    if isinstance(F.ring, QuotientRing):
-        for z in F.ring.relations:
-            for k in range(F.rank):
-                out.append(
-                    tuple(z if i == k else F.base.zero for i in range(F.rank))
-                )
-    return out
+    """The vectors z_j * e_k embedding (z)F (none over Q)."""
+    return scaled_basis(F, F.ring.relations)
 
 
 def submodule_gb(gens, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP):

@@ -10,9 +10,15 @@
 
 Variables are x1..xd; polynomials use +, -, *, ^, integer or p/q
 coefficients and parentheses.  The ring line comes first, the quotient
-line (optional, empty means A = Q) before any module or ideal.  Module
-entries and ideal generators are stored in canonical form in A, so
-pretty_print o parse_problem is the identity on files it emits.
+line before any module or ideal.  The quotient line is optional; without
+one (or with an empty one) the ring is Q itself, the quotient by the
+empty sequence, which sweep and verify reject.  Module entries and ideal
+generators are stored in canonical form in A, so pretty_print o
+parse_problem is the identity on files it emits.
+
+The params keys are imax and nmax (the sweep grid) and degree_cap, all
+integers >= 0, and candidates (extra ideals for rho_upper).  A sweep's
+homological cap is always 2*imax + 2 and is not a parameter.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .rings import PolyRing, QuotientRing, parse_poly
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: run-parameter keys accepted on the params line, in canonical print order
-PARAM_KEYS = ("imax", "nmax", "degree_cap", "hom_cap", "candidates")
+PARAM_KEYS = ("imax", "nmax", "degree_cap", "candidates")
 
 
 class ProblemFile:
@@ -160,19 +166,17 @@ def _bracket_list(cur: _Cursor):
     return _split_top(inner, ",", cur.lineno, cur.col())
 
 
-def _parse_entry(base, text, ring, lineno):
+def _parse_entry(text, ring, lineno):
     """One polynomial in canonical A-form, with errors tied to the line."""
     if not text:
         raise ProblemSyntaxError("empty polynomial", lineno, 1)
     try:
-        p = parse_poly(base, text)
+        p = parse_poly(ring.base, text)
     except HomogeneityError as exc:
         raise ProblemSemanticError(f"inhomogeneous polynomial {text!r}: {exc}", lineno)
     except ValueError as exc:
         raise ProblemSyntaxError(f"bad polynomial {text!r}: {exc}", lineno, 1)
-    if isinstance(ring, QuotientRing):
-        p = ring.normal_form(p)
-    return p
+    return ring.normal_form(p)
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -231,7 +235,7 @@ def parse_problem(text: str) -> ProblemFile:
             rest = line[cur.pos:].strip()
             if rest:
                 for piece in _split_top(rest, ";", lineno, cur.col()):
-                    quotient.append(_parse_entry(base, piece, base, lineno))
+                    quotient.append(_parse_entry(piece, base, lineno))
             if quotient:
                 try:
                     ring = QuotientRing(base, quotient)
@@ -284,7 +288,7 @@ def parse_problem(text: str) -> ProblemFile:
                         f"{len(targets)}", lineno
                     )
                 col = tuple(
-                    _parse_entry(base, t, ring, lineno) for t in vec_text
+                    _parse_entry(t, ring, lineno) for t in vec_text
                 )
                 try:
                     deg = vec_degree(cover, col)
@@ -319,7 +323,7 @@ def parse_problem(text: str) -> ProblemFile:
                     expected=("polynomial", "unit"),
                 )
             gens = [
-                _parse_entry(base, t, ring, lineno)
+                _parse_entry(t, ring, lineno)
                 for t in _split_top(rest, ",", lineno, cur.col())
             ]
             ideals[name] = IdealData(ring, gens)
@@ -344,6 +348,10 @@ def parse_problem(text: str) -> ProblemFile:
                     params[key] = tuple(cands)
                 else:
                     params[key] = cur.integer()
+                    if params[key] < 0:
+                        raise ProblemSemanticError(
+                            f"parameter {key} must be >= 0", lineno
+                        )
             continue
 
         raise ProblemSyntaxError(

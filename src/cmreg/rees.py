@@ -19,6 +19,7 @@ from .freemod import (
     GradedFreeModule,
     ModulePresentation,
     map_from_columns,
+    scaled_basis,
     vec_degree,
     vec_is_zero,
 )
@@ -29,7 +30,6 @@ from .groebner import (
     submodule_equal,
     submodule_gb,
 )
-from .rings import QuotientRing, base_poly_ring
 
 
 class IdealData:
@@ -39,14 +39,13 @@ class IdealData:
 
     def __init__(self, ring, generators, cap=DEFAULT_DEGREE_CAP):
         self.ring = ring
-        nf = ring.normal_form if isinstance(ring, QuotientRing) else (lambda p: p)
-        gens = [nf(g) for g in generators]
+        gens = [ring.normal_form(g) for g in generators]
         gens = [g for g in gens if not g.is_zero()]
         F = GradedFreeModule(ring, (0,))
         mins = minimal_generators([(g,) for g in gens], F)
         self.generators = tuple(v[0] for v in mins)
         self.degrees = tuple(g.degree for g in self.generators)
-        one = (base_poly_ring(ring).one,)
+        one = (ring.base.one,)
         if self.generators:
             gb = submodule_gb([(g,) for g in self.generators], F, cap=cap)
             self.improper = submodule_contains(gb, one)
@@ -68,33 +67,23 @@ class IdealData:
 
 
 def unit_ideal(ring) -> IdealData:
-    return IdealData(ring, [base_poly_ring(ring).one])
+    return IdealData(ring, [ring.base.one])
 
 
 def _power_products(I: IdealData, n: int):
     """All degree-n products of the generators, nonzero normal forms only."""
     ring = I.ring
-    nf = ring.normal_form if isinstance(ring, QuotientRing) else (lambda p: p)
     if n == 0:
-        return [base_poly_ring(ring).one]
+        return [ring.base.one]
     out = []
     for pick in combinations_with_replacement(range(len(I.generators)), n):
         p = I.generators[pick[0]]
         for t in pick[1:]:
             p = p * I.generators[t]
-        p = nf(p)
+        p = ring.normal_form(p)
         if not p.is_zero():
             out.append(p)
     return out
-
-
-def _scaled_basis_columns(F: GradedFreeModule, scalars):
-    zero = F.base.zero
-    cols = []
-    for s in scalars:
-        for k in range(F.rank):
-            cols.append(tuple(s if i == k else zero for i in range(F.rank)))
-    return cols
 
 
 def power_module(
@@ -106,7 +95,7 @@ def power_module(
     F = N.cover
     psi = N.relations.columns()
     prods = _power_products(I, n)
-    gens = _scaled_basis_columns(F, prods)
+    gens = scaled_basis(F, prods)
     sub = to_presentation(F, gens + list(psi), list(psi), degree_cap)
     return sub.presentation
 
@@ -120,7 +109,7 @@ def quotient_module(
     if I.is_zero and n > 0:
         return N
     prods = _power_products(I, n)
-    cols = cols + _scaled_basis_columns(F, prods)
+    cols = cols + scaled_basis(F, prods)
     if not cols:
         return ModulePresentation(
             map_from_columns((), F, [])
@@ -165,12 +154,12 @@ def is_reduction(
     F = N.cover
     psi = [c for c in N.relations.columns() if not vec_is_zero(c)]
     for n in range(n_max + 1):
-        lhs = _scaled_basis_columns(F, _power_products(I, n + 1)) + psi
+        lhs = scaled_basis(F, _power_products(I, n + 1)) + psi
         jin = []
         for yj in J.generators:
             for p in _power_products(I, n):
                 jin.append(yj * p)
-        rhs = _scaled_basis_columns(F, jin) + psi
+        rhs = scaled_basis(F, jin) + psi
         if submodule_equal(lhs, rhs, F, cap=degree_cap):
             return ReductionCertificate(J, n, n_max)
     return ReductionCertificate(J, None, n_max)

@@ -27,7 +27,7 @@ from .freemod import (
 )
 from .groebner import DEFAULT_DEGREE_CAP, relation_vectors
 from .linalg import rank, reduce_vector, row_reduce
-from .resolution import BettiTable, resolve_over_Q
+from .resolution import BettiTable, betti_table, resolve_over_Q
 from .rings import QuotientRing, monomial_mul
 
 
@@ -50,7 +50,7 @@ def regularity(M: ModulePresentation, degree_cap=DEFAULT_DEGREE_CAP):
     """max{j - i} over the minimal Betti table; NEG_INF for the zero module."""
     MQ = present_over_Q(M)
     R = resolve_over_Q(MQ, minimal=True, degree_cap=degree_cap)
-    return BettiTable.from_resolution(R).regularity()
+    return betti_table(R).regularity()
 
 
 # -- graded pieces of a Q-presentation, by pure linear algebra ----------------

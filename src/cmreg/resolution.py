@@ -64,9 +64,7 @@ class FreeResolution:
             comp = self.maps[l - 1].compose(self.maps[l])
             for row in comp.matrix:
                 for p in row:
-                    if isinstance(self.ring, QuotientRing):
-                        p = self.ring.normal_form(p)
-                    if not p.is_zero():
+                    if not self.ring.normal_form(p).is_zero():
                         return False
         return True
 
@@ -88,14 +86,6 @@ class BettiTable:
         self.minimal = minimal
         self.window = window
         self.partial = partial
-
-    @classmethod
-    def from_resolution(cls, R: FreeResolution) -> "BettiTable":
-        entries = {}
-        for i, F in enumerate(R.modules):
-            for j in F.twists:
-                entries[(i, j)] = entries.get((i, j), 0) + 1
-        return cls(entries, minimal=R.minimal)
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -133,7 +123,11 @@ class BettiTable:
 
 
 def betti_table(R: FreeResolution) -> BettiTable:
-    return BettiTable.from_resolution(R)
+    entries = {}
+    for i, F in enumerate(R.modules):
+        for j in F.twists:
+            entries[(i, j)] = entries.get((i, j), 0) + 1
+    return BettiTable(entries, minimal=R.minimal)
 
 
 # -- minimization -------------------------------------------------------------
@@ -167,9 +161,6 @@ def minimize(R: FreeResolution) -> FreeResolution:
         [list(row) for row in d.matrix] for d in R.maps
     ]  # mats[l][k][m], 1-based in l
 
-    def nf(p):
-        return ring.normal_form(p) if isinstance(ring, QuotientRing) else p
-
     while True:
         hit = _unit_entry(mats, twist_lists, field)
         if hit is None:
@@ -188,7 +179,7 @@ def minimize(R: FreeResolution) -> FreeResolution:
                 if m2 == m:
                     continue
                 corr = (w * old[k][m2]).scale(uinv)
-                new_row.append(nf(p - corr))
+                new_row.append(ring.normal_form(p - corr))
             new.append(new_row)
         mats[l] = new
         if l + 1 < len(mats):
@@ -251,6 +242,31 @@ def _extend(current: GradedMap, degree_cap, minimal=True):
     return map_from_columns(twists, current.source, K)
 
 
+def _resolve(M: ModulePresentation, cap, minimal, degree_cap) -> FreeResolution:
+    """F_0..F_cap of a resolution of M by iterated kernels, complete when
+    a kernel vanishes first.  Each new d_l is built from minimal kernel
+    generators when minimal is set or l >= nvars (see resolve_over_Q)."""
+    modules = [M.cover]
+    maps = []
+    complete = False
+    current = M.relations
+    for l in range(1, cap + 1):
+        if current.source.rank == 0:
+            complete = True
+            break
+        modules.append(current.source)
+        maps.append(current)
+        if l == cap:
+            break
+        current = _extend(current, degree_cap, minimal or l + 1 >= M.ring.nvars)
+        if current is None:
+            complete = True
+            break
+    return FreeResolution(
+        M.ring, modules, maps, minimal=minimal, complete=complete
+    )
+
+
 def resolve_over_Q(
     M: ModulePresentation, minimal=True, degree_cap=DEFAULT_DEGREE_CAP
 ) -> FreeResolution:
@@ -269,24 +285,13 @@ def resolve_over_Q(
         raise ValueError("resolve_over_Q needs a presentation over Q")
     if minimal:
         M = minimal_presentation(M, cap=degree_cap)
-    modules = [M.cover]
-    maps = []
-    current = M.relations
     limit = ring.nvars if minimal else ring.nvars + 1
-    for l in range(1, limit + 2):
-        if current.source.rank == 0:
-            break
-        if l > limit:
-            raise InternalConsistencyError(
-                "resolution over Q exceeded the syzygy-theorem length bound"
-            )
-        modules.append(current.source)
-        maps.append(current)
-        nxt = _extend(current, degree_cap, minimal or l + 1 >= ring.nvars)
-        if nxt is None:
-            break
-        current = nxt
-    return FreeResolution(ring, modules, maps, minimal=minimal, complete=True)
+    R = _resolve(M, limit + 1, minimal, degree_cap)
+    if not R.complete:
+        raise InternalConsistencyError(
+            "resolution over Q exceeded the syzygy-theorem length bound"
+        )
+    return R
 
 
 def resolve_over_A(
@@ -294,23 +299,5 @@ def resolve_over_A(
 ) -> FreeResolution:
     """Minimal free resolution over A = Q/(z), exact through homological
     degree cap (modules F_0..F_cap computed unless it terminates early)."""
-    ring = M.ring
     M = minimal_presentation(M, cap=degree_cap)
-    modules = [M.cover]
-    maps = []
-    complete = False
-    current = M.relations
-    for l in range(1, cap + 1):
-        if current.source.rank == 0:
-            complete = True
-            break
-        modules.append(current.source)
-        maps.append(current)
-        if l == cap:
-            break
-        nxt = _extend(current, degree_cap, minimal=True)
-        if nxt is None:
-            complete = True
-            break
-        current = nxt
-    return FreeResolution(ring, modules, maps, minimal=True, complete=complete)
+    return _resolve(M, cap, True, degree_cap)

@@ -41,7 +41,14 @@ def _key_degrevlex(e):
 
 class PolyRing:
     """Standard graded polynomial ring over an exact field, with the
-    degrevlex monomial order."""
+    degrevlex monomial order.
+
+    Q is also the quotient of Q by the empty sequence, so it answers the
+    QuotientRing interface: no relations, base is Q itself, every
+    polynomial is its own normal form and every monomial is standard.
+    """
+
+    relations = ()
 
     def __init__(self, nvars: int, field=GF32003):
         if nvars < 0:
@@ -49,6 +56,7 @@ class PolyRing:
         self.nvars = nvars
         self.field = field
         self.order_key = _key_degrevlex
+        self.base = self
 
     # -- element constructors -------------------------------------------
 
@@ -120,6 +128,11 @@ class PolyRing:
         rec([], s, 0)
         out.sort(key=self.order_key, reverse=True)
         return out
+
+    std_monomials_of_degree = monomials_of_degree
+
+    def normal_form(self, p: GradedPoly) -> GradedPoly:
+        return p
 
     # -- misc -------------------------------------------------------------
 
@@ -373,11 +386,6 @@ class QuotientRing:
             return f"{self.base}/()"
         rels = ", ".join(repr(z) for z in self.relations)
         return f"{self.base}/({rels})"
-
-
-def base_poly_ring(ring) -> PolyRing:
-    """Underlying polynomial ring of either a PolyRing or a QuotientRing."""
-    return ring.base if isinstance(ring, QuotientRing) else ring
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ fits along grid rows and columns.
 Everything here is exact integer bookkeeping on top of ext/regularity; the
 only "statistics" is detecting when consecutive differences stabilize.
 
-A sweep resolves M once (homological cap 2*i_max + 2 so that every requested
-Ext index has the syzygy module it needs), builds each coefficient module
-once, and then fills cells independently.  Cells hit by a degree cap are
-recorded with the CAP marker and the run continues.
+A sweep resolves M once, to homological degree 2*i_max + 2: every requested
+Ext index has the syzygy module it needs, and a longer resolution would only
+compute kernels no cell reads.  It builds each coefficient module once and
+then fills cells independently.  Cells hit by a degree cap are recorded with
+the CAP marker and the run continues.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ def sweep(
     n_max: int,
     variants=("power",),
     degree_cap=DEFAULT_DEGREE_CAP,
-    hom_cap=None,
 ) -> ExtRegTable:
     """reg Ext_A^{2i+l}(M, C) for 0 <= i <= i_max, 0 <= n <= n_max, C the
     power module I^n N or the quotient module N/I^n N per variant."""
@@ -107,8 +107,7 @@ def sweep(
     ring = M.ring
     if not isinstance(ring, QuotientRing):
         raise ValueError("sweep expects modules over a quotient ring A = Q/(z)")
-    if hom_cap is None:
-        hom_cap = 2 * i_max + 2
+    hom_cap = 2 * i_max + 2
     R = resolve_over_A(M, cap=hom_cap, degree_cap=degree_cap)
 
     cells = {}

@@ -13,7 +13,7 @@ from cmreg.freemod import (
     free_presentation,
 )
 from cmreg.rees import IdealData, unit_ideal
-from cmreg.rings import PolyRing, QuotientRing, base_poly_ring
+from cmreg.rings import PolyRing, QuotientRing
 
 
 def cyclic_quotient(ring, polys, twist=0):
@@ -66,15 +66,11 @@ def random_poly(rng: random.Random, ring, degree):
 
     Over a quotient ring only standard monomials are used, so the result is
     already in normal form."""
-    base = base_poly_ring(ring)
+    base = ring.base
     if degree < 0:
         return base.zero
-    if isinstance(ring, QuotientRing):
-        monos = ring.std_monomials_of_degree(degree)
-    else:
-        monos = ring.monomials_of_degree(degree)
     terms = {}
-    for exps in monos:
+    for exps in ring.std_monomials_of_degree(degree):
         c = rng.randrange(-2, 3)
         if c:
             terms[exps] = base.field(c)

@@ -18,7 +18,7 @@ from cmreg.ci_ops import (
 from cmreg.ext_tor import ext
 from cmreg.fields import GF32003
 from cmreg.freemod import GradedMap
-from cmreg.resolution import resolve_over_A
+from cmreg.resolution import FreeResolution, resolve_over_A
 from cmreg.rings import PolyRing, QuotientRing
 
 
@@ -31,6 +31,7 @@ def test_lift_preserves_shape():
     A, M, N, I = two_relation_setup()
     R = resolve_over_A(M, cap=5)
     L = lift_resolution(R)
+    assert isinstance(L, FreeResolution)
     assert L.ring is A.base
     assert L.length == R.length
     for l in range(R.length + 1):

@@ -304,3 +304,49 @@ def test_trigraded_non_integer_weights_exit_1(tmp_path):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+NO_QUOTIENT = """\
+ring d=2 char=32003
+module M: targets [0]; relations [[x1]]
+module N: targets [0]; relations [[x2]]
+ideal I: x1
+"""
+
+
+def test_bad_input_exits_1_with_one_line(tmp_path):
+    prob = _write(tmp_path, "red.prob", REDUCED)
+    hyp = _write(tmp_path, "hyp.prob", HYPERSURFACE)
+    noq = _write(tmp_path, "noq.prob", NO_QUOTIENT)
+    capped = _write(tmp_path, "capped.prob", HYPERSURFACE + "params: hom_cap=1\n")
+    negative = _write(tmp_path, "neg.prob", HYPERSURFACE + "params: imax=-1\n")
+    blob = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]},
+            "data": {"0": [[0, 0, 5]]}, "imax": -1}
+    tri = _write(tmp_path, "tri.json", json.dumps(blob))
+    grid = ["--module", "M", "--coeff", "N", "--ideal", "I"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["ext", prob, "--module", "M", "--coeff", "N", "--index", "-1"],
+        ["tor", prob, "--module", "M", "--coeff", "N", "--index", "-1"],
+        ["sweep", noq, *grid],
+        ["verify", noq, *grid],
+        ["sweep", prob, *grid, "--imax", "-1"],
+        ["verify", prob, *grid, "--nmax", "-1"],
+        ["rho", prob, "--module", "N", "--ideal", "I", "--nmax", "-1"],
+        ["resolve", prob, "--module", "M", "--cap", "-1"],
+        ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--hom-cap", "1"],
+        ["verify", capped, "--module", "M", "--coeff", "M", "--ideal", "I"],
+        ["sweep", negative, "--module", "M", "--coeff", "M", "--ideal", "I"],
+        ["trigraded-bound", tri],
+        ["trigraded-bound", tri, "--nmax", "-1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmreg.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert [l for l in lines if l.startswith("cmreg:")] == lines[-1:], (argv, lines)
+        assert proc.stdout == ""

@@ -111,3 +111,40 @@ def test_product_degree_property(cs, ds):
     if not prod.is_zero():
         assert prod.degree == 3
     assert ((p * q) - (q * p)).is_zero()
+
+
+def test_poly_ring_answers_as_the_empty_quotient(seed):
+    import random
+
+    from helpers import random_presentation
+
+    from cmreg.freemod import (
+        GradedFreeModule,
+        GradedMap,
+        ModulePresentation,
+        piece_basis,
+        presentation_hilbert,
+    )
+    from cmreg.groebner import relation_vectors
+    from cmreg.regularity import regularity
+    from cmreg.resolution import resolve_over_A
+
+    rng = random.Random(seed)
+    for Q in (PolyRing(2), PolyRing(3)):
+        A0 = QuotientRing(Q, [])
+        for _ in range(4):
+            M = random_presentation(rng, Q)
+            rels = M.relations
+            M0 = ModulePresentation(GradedMap(
+                GradedFreeModule(A0, rels.source.twists),
+                GradedFreeModule(A0, rels.target.twists),
+                rels.matrix,
+            ))
+            assert relation_vectors(M.cover) == relation_vectors(M0.cover) == []
+            for s in range(6):
+                assert piece_basis(M.cover, s) == piece_basis(M0.cover, s)
+                assert presentation_hilbert(M, s) == presentation_hilbert(M0, s)
+            assert regularity(M) == regularity(M0)
+            R, R0 = resolve_over_A(M, cap=4), resolve_over_A(M0, cap=4)
+            assert R.twist_lists() == R0.twist_lists()
+            assert R.complete == R0.complete
