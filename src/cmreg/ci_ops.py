@@ -28,7 +28,6 @@ from .freemod import (
     GradedMap,
     ModulePresentation,
     map_from_columns,
-    vec_degree,
     vec_is_zero,
     vec_reduce_entries,
 )
@@ -95,7 +94,7 @@ class CIOperators:
 def eisenbud_operators(R) -> CIOperators:
     """Extract the CI operators of an A-free resolution R (A = Q/(z))."""
     ring = R.ring
-    if not isinstance(ring, QuotientRing) or not ring.relations:
+    if not ring.relations:
         raise ValueError("CI operators need a quotient by a nonempty sequence")
     Q = ring.base
     L = lift_resolution(R)
@@ -177,14 +176,6 @@ class PresentationMap:
         return True
 
 
-def _generator_map(E):
-    """The map (free on E's generators) -> E.ambient sending basis vectors
-    to the chosen generating cycles."""
-    return map_from_columns(
-        E.presentation.generator_degrees, E.ambient, E.generators
-    )
-
-
 def induced_on_ext(
     T: CIOperators,
     j: int,
@@ -224,17 +215,11 @@ def induced_on_ext(
     U = _block_map(t_A, N.cover, dual=True)
 
     # rewrite each generator image in Ext^{i+2} coordinates: solve
-    # gens*x + boundaries*y = U(z_s) inside the unshifted ambient
-    zmap2 = _generator_map(Ei2)
-    extra = Ei2.boundaries
-    cols = zmap2.columns() + list(extra)
-    twists = list(zmap2.source.twists) + [
-        vec_degree(Ei2.ambient, cvec) for cvec in extra
-    ]
-    elim = Elimination(
-        map_from_columns(tuple(twists), Ei2.ambient, cols), degree_cap
+    # gens*x = U(z_s) modulo the boundaries inside the unshifted ambient
+    zmap2 = map_from_columns(
+        Ei2.presentation.generator_degrees, Ei2.ambient, Ei2.generators
     )
-    ngens2 = zmap2.source.rank
+    elim = Elimination(zmap2, degree_cap, modulo=Ei2.boundaries)
     out_cols = []
     for zvec in Ei.generators:
         image = vec_reduce_entries(Ei2.ambient, U.apply(zvec))
@@ -243,9 +228,7 @@ def induced_on_ext(
             raise InternalConsistencyError(
                 "induced cocycle is not a cycle modulo coboundaries"
             )
-        out_cols.append(tuple(vec_reduce_entries(
-            GradedFreeModule(ring, zmap2.source.twists), x[:ngens2]
-        )))
+        out_cols.append(vec_reduce_entries(zmap2.source, x))
     cover_map = map_from_columns(source.cover.twists, target.cover, out_cols)
     return PresentationMap(source, target, cover_map)
 

@@ -366,7 +366,7 @@ def _add_common(sp, module=True, coeff=False, ideal=False):
         sp.add_argument("--coeff", required=True, help="coefficient module name")
     if ideal:
         sp.add_argument("--ideal", required=True, help="ideal name")
-    sp.add_argument("--degree-cap", dest="degree_cap", type=int, default=None)
+    sp.add_argument("--degree-cap", dest="degree_cap", type=nonnegative, default=None)
     sp.add_argument("--out", default=None, help="write output here (atomic)")
 
 

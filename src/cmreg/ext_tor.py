@@ -5,9 +5,10 @@ is represented on the ambient free module T_i = +_k G(a_ik): an element is
 the tuple of images of the F_i basis.  The coboundary is precomposition
 with the differential, so its blocks are scalar copies of the transposed
 differential entries.  Tensor terms work the same way with T_i = +_k
-G(-a_ik) and untransposed blocks.  Cycles are computed as a stacked kernel
-(differential columns alongside the coefficient-module relations) and
-boundaries as the previous differential's columns plus those relations.
+G(-a_ik) and untransposed blocks.  Cycles are the kernel of the outgoing
+differential modulo the coefficient-module relations (Elimination's modulo
+argument), and boundaries are the previous differential's columns plus
+those relations.
 """
 
 from __future__ import annotations
@@ -131,23 +132,6 @@ def _relation_columns(Frank, G, psi_cols):
     return cols
 
 
-def _stacked_kernel(delta: GradedMap, extra_cols, degree_cap):
-    """Generators of {v in source : delta(v) in span(extra_cols)}."""
-    tgt = delta.target
-    cols = delta.columns() + [tuple(c) for c in extra_cols]
-    twists = list(delta.source.twists) + [
-        vec_degree(tgt, c) for c in extra_cols
-    ]
-    stacked = map_from_columns(tuple(twists), tgt, cols)
-    n = delta.source.rank
-    out = []
-    for v in kernel(stacked, cap=degree_cap):
-        w = vec_reduce_entries(delta.source, v[:n])
-        if not vec_is_zero(w):
-            out.append(w)
-    return out
-
-
 def _require_depth(R: FreeResolution, i: int):
     if R.length >= i + 1 or R.complete:
         return
@@ -172,7 +156,7 @@ def _homology(M, N, i, R, degree_cap, dual):
     if 0 <= nxt <= R.length:
         delta = _block_map(R.d(max(i, nxt)), G, dual)
         rels = _relation_columns(R.modules[nxt].rank, G, psi_cols)
-        cycles = _stacked_kernel(delta, rels, degree_cap)
+        cycles = kernel(delta, cap=degree_cap, modulo=rels)
     else:
         # next term is zero: every element is a cycle
         cycles = [basis_vector(Ti, k) for k in range(Ti.rank)]

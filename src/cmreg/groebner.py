@@ -13,8 +13,10 @@ outright, and within a position the ring's monomial order applies.
 Kernels and preimages of a map phi come from one elimination basis:
 Elimination(phi) builds it once, and its kernel() and preimage(b) methods
 share it.  The module-level kernel() and preimage() build a fresh one per
-call.  A preimage is the package's only way to write an element in terms
-of generators; Groebner bases carry no expression data.
+call.  Elimination(phi, modulo=S) solves modulo a submodule S of the target:
+its kernel is {x : phi(x) in S} and its preimages hit b up to S.  A preimage
+is the package's only way to write an element in terms of generators;
+Groebner bases carry no expression data.
 """
 
 from __future__ import annotations
@@ -300,17 +302,18 @@ def minimal_generators(gens, F: GradedFreeModule):
 
 
 class Elimination:
-    """Elimination basis of one map phi: F -> G, built once and shared by
-    its kernel and any number of preimage queries.
+    """Elimination basis of one map phi: F -> G modulo the submodule S of G
+    spanned by the vectors in modulo (S = 0 by default), built once and
+    shared by its kernel and any number of preimage queries.
 
-    The basis is the GB of {(phi(e_m), e_m)} (+ relation multiples on the
-    target block) in G + F with the target block senior; g_rank = rank G
-    marks where the source block starts.
+    The basis is the GB of {(phi(e_m), e_m)} plus (s, 0) for s in modulo
+    and the relation multiples of G, in G + F with the target block senior;
+    g_rank = rank G marks where the source block starts.
     """
 
     __slots__ = ("source", "basis", "g_rank")
 
-    def __init__(self, phi: GradedMap, cap=DEFAULT_DEGREE_CAP):
+    def __init__(self, phi: GradedMap, cap=DEFAULT_DEGREE_CAP, modulo=()):
         G, Fm = phi.target, phi.source
         Q = Fm.base
         ambient = GradedFreeModule(Q, G.twists + Fm.twists)
@@ -322,13 +325,13 @@ class Elimination:
         order = ModuleOrder(ambient, priority)
         gens = [phi.column(m) + basis_vector(Fm, m) for m in range(Fm.rank)]
         zpad = tuple(Q.zero for _ in range(Fm.rank))
-        gens += [v + zpad for v in relation_vectors(G)]
+        gens += [tuple(v) + zpad for v in list(modulo) + relation_vectors(G)]
         self.source = Fm
         self.basis = buchberger(gens, ambient, order=order, cap=cap)
         self.g_rank = g_rank
 
     def kernel(self):
-        """Generators of ker(phi); see kernel()."""
+        """Generators of {x : phi(x) in S}; see kernel()."""
         g_rank = self.g_rank
         out = []
         for v in self.basis.elements:
@@ -340,7 +343,7 @@ class Elimination:
         return out
 
     def preimage(self, b):
-        """Some x with phi(x) = b; see preimage()."""
+        """Some x with phi(x) = b mod S; see preimage()."""
         Fm = self.source
         padded = tuple(b) + tuple(Fm.base.zero for _ in range(Fm.rank))
         r = normal_form(padded, self.basis)
@@ -349,13 +352,14 @@ class Elimination:
         return tuple(-p for p in r[self.g_rank :])
 
 
-def kernel(phi: GradedMap, cap=DEFAULT_DEGREE_CAP):
-    """Generators of ker(phi) over phi's ring, as vectors in phi.source.
+def kernel(phi: GradedMap, cap=DEFAULT_DEGREE_CAP, modulo=()):
+    """Generators of ker(phi) over phi's ring, as vectors in phi.source;
+    with modulo, of {x : phi(x) in span(modulo)}.
 
     Over a quotient ring the kernel of the induced map on A-modules is
     returned (entries in canonical form, zero vectors dropped).
     """
-    return Elimination(phi, cap).kernel()
+    return Elimination(phi, cap, modulo).kernel()
 
 
 def preimage(phi: GradedMap, b, cap=DEFAULT_DEGREE_CAP):

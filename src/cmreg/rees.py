@@ -205,8 +205,10 @@ def rho_upper(
     Default candidates are all subsets of the minimal generators of I
     (skipped, with the truncated flag set, when I has more than
     SUBSET_ENUM_LIMIT generators); I itself is always included and always
-    succeeds at n = 0.
+    succeeds at n = 0, so n_max must be >= 0.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     ring = I.ring
     pool = []
     truncated = False
@@ -227,8 +229,4 @@ def rho_upper(
         cert = is_reduction(J, I, N, n_max, degree_cap)
         if cert.found:
             best = RhoBound(d_of(J), J, cert, truncated)
-    if best is None:
-        # I is always a reduction of itself with witness 0
-        cert = ReductionCertificate(I, 0, n_max)
-        best = RhoBound(d_of(I), I, cert, truncated)
     return best

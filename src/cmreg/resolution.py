@@ -235,7 +235,6 @@ def _extend(current: GradedMap, degree_cap, minimal=True):
     K = kernel(current, cap=degree_cap)
     if minimal:
         K = minimal_generators(K, current.source)
-    K = [k for k in K if not vec_is_zero(k)]
     if not K:
         return None
     twists = tuple(vec_degree(current.source, v) for v in K)

@@ -21,7 +21,6 @@ from .groebner import DEFAULT_DEGREE_CAP
 from .rees import IdealData, power_module, quotient_module
 from .regularity import regularity
 from .resolution import resolve_over_A
-from .rings import QuotientRing
 
 #: cell marker: the computation for this cell breached its degree cap
 CAP = "cap"
@@ -105,8 +104,8 @@ def sweep(
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
     ring = M.ring
-    if not isinstance(ring, QuotientRing):
-        raise ValueError("sweep expects modules over a quotient ring A = Q/(z)")
+    if not ring.relations:
+        raise ValueError("sweep expects modules over A = Q/(z) with z nonempty")
     hom_cap = 2 * i_max + 2
     R = resolve_over_A(M, cap=hom_cap, degree_cap=degree_cap)
 
@@ -129,7 +128,7 @@ def sweep(
         "field": repr(ring.field),
         "degree_cap": degree_cap,
         "homological_cap": hom_cap,
-        "f": min(ring.f_degrees) if ring.f_degrees else None,
+        "f": min(ring.f_degrees),
         "f_degrees": list(ring.f_degrees),
         "variants": list(variants),
     }

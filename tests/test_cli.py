@@ -340,6 +340,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
         ["sweep", negative, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["trigraded-bound", tri],
         ["trigraded-bound", tri, "--nmax", "-1"],
+        ["reg", hyp, "--module", "M", "--degree-cap", "-1"],
+        ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--degree-cap", "-3"],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "cmreg.cli", *argv], env=env,

@@ -83,6 +83,9 @@ def test_rho_upper_values():
     assert bound.certificate.found
     assert not bound.truncated
     assert bound.label == "upper bound"
+    # n = 0 is the first horizon at which I certifies itself
+    with pytest.raises(ValueError):
+        rho_upper(I, N, n_max=-1)
 
 
 def test_rho_upper_principal_higher_degree():

@@ -19,9 +19,7 @@ PRECONDITIONS = {
     ("resolution.py", "resolve_over_Q"),
     ("regularity.py", "GradedPieces"),
     ("regularity.py", "present_over_Q"),
-    ("sweeps.py", "sweep"),
     ("ci_ops.py", "lift_resolution"),
-    ("ci_ops.py", "eisenbud_operators"),
 }
 
 

@@ -11,7 +11,7 @@ from helpers import (
 from cmreg.fields import GF32003, QQ, PrimeField
 from cmreg.freemod import NEG_INF
 from cmreg.rees import rho_upper
-from cmreg.rings import PolyRing
+from cmreg.rings import PolyRing, QuotientRing
 from cmreg.sweeps import (
     CAP,
     GRID_LIMITATION_NOTE,
@@ -84,6 +84,10 @@ def test_sweep_input_validation():
     MQ = cyclic_quotient(Q, ["x1"])
     with pytest.raises(ValueError):
         sweep(MQ, MQ, I, i_max=1, n_max=1)
+    # Q as the quotient by the empty sequence is no complete intersection
+    ME = cyclic_quotient(QuotientRing(Q, []), ["x1"])
+    with pytest.raises(ValueError):
+        sweep(ME, ME, I, i_max=1, n_max=1)
 
 
 def test_reg_to_text():
