@@ -73,10 +73,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(v, c):
     return tuple(a.scale(c) for a in v)
 
@@ -138,13 +134,14 @@ def piece_basis(F: GradedFreeModule, s: int):
 
 def vector_coords(F: GradedFreeModule, v, s: int, basis=None):
     """Coordinates of a degree-s vector in the piece_basis of F_s."""
-    v = vec_reduce_entries(F, v)
     if basis is None:
         basis = piece_basis(F, s)
-    index = {be: i for i, be in enumerate(basis)}
-    field_ = F.base.field
-    coords = [field_.zero] * len(basis)
-    for k, p in enumerate(v):
+    return _coords(F, v, {be: i for i, be in enumerate(basis)})
+
+
+def _coords(F, v, index):
+    coords = [F.base.field.zero] * len(index)
+    for k, p in enumerate(vec_reduce_entries(F, v)):
         for e, c in p.terms.items():
             coords[index[(k, e)]] = c
     return coords
@@ -158,13 +155,14 @@ def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
     """
     if basis is None:
         basis = piece_basis(F, s)
+    index = {be: i for i, be in enumerate(basis)}
     rows = []
     for g in gens:
         d = vec_degree(F, g)
         if d is None or d > s:
             continue
         for e in F.ring.std_monomials_of_degree(s - d):
-            rows.append(vector_coords(F, vec_mul_term(g, e, 1), s, basis))
+            rows.append(_coords(F, vec_mul_term(g, e, 1), index))
     return rows
 
 

@@ -31,16 +31,15 @@ from .freemod import (
     scaled_basis,
     vec_degree,
     vec_is_zero,
-    vec_mul_term,
     vec_reduce_entries,
     vec_scale,
-    vec_sub,
 )
 from .rings import (
     monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
 )
 
 DEFAULT_DEGREE_CAP = 40
@@ -101,36 +100,53 @@ class GroebnerBasis:
         return iter(self.elements)
 
 
-def _reduce(vec, elements, lts, order):
-    """Full normal form (remainder) of vec against (elements, lts).
+def _accumulator(vec):
+    """A mutable copy of vec: one {exps: coeff} dict per position."""
+    return [dict(p.terms) for p in vec]
+
+
+def _sub_multiple(acc, g, exps, c, field):
+    """acc -= c * x^exps * g, in place and only on the support of g."""
+    zero = field.zero
+    for d, p in zip(acc, g):
+        for e, x in p.terms.items():
+            m = monomial_mul(e, exps)
+            y = field.sub(d.get(m, zero), field.mul(c, x))
+            if y == zero:
+                del d[m]
+            else:
+                d[m] = y
+
+
+def _reduce(acc, elements, lts, order):
+    """Full normal form (remainder) of the accumulator acc, which is consumed,
+    against (elements, lts).  Positions are cleared most senior first, since
+    no divisor of a term at position k touches a more senior position.
     Divisor ties go to the earliest element in list order."""
     ring = order.ambient.base
-    remainder_terms = [dict() for _ in range(len(vec))]
-    cur = vec
-    while not vec_is_zero(cur):
-        k, e, c = order.leading_term(cur)
-        for t, (gk, ge, gc) in enumerate(lts):
-            if gk == k and monomial_divides(ge, e):
-                q_exps = monomial_div(e, ge)
-                q_coeff = ring.field.div(c, gc)
-                cur = vec_sub(cur, vec_mul_term(elements[t], q_exps, q_coeff))
-                break
-        else:
-            remainder_terms[k][e] = c
-            cur = vec_sub(cur, _term_vector(ring, len(cur), k, e, c))
-    return tuple(
-        ring.from_terms(t) if t else ring.zero for t in remainder_terms
-    )
-
-
-def _term_vector(ring, length, k, e, c):
-    z = ring.zero
-    return tuple(ring.monomial(e, c) if i == k else z for i in range(length))
+    divisors = {}
+    for g, (gk, ge, gc) in zip(elements, lts):
+        divisors.setdefault(gk, []).append((ge, gc, g))
+    remainder = [ring.zero] * len(acc)
+    for k in sorted(range(len(acc)), key=order.seniority.__getitem__):
+        d, rem = acc[k], {}
+        while d:
+            e = max(d, key=order.mono_key)
+            for ge, gc, g in divisors.get(k, ()):
+                if monomial_divides(ge, e):
+                    q = ring.field.div(d[e], gc)
+                    _sub_multiple(acc, g, monomial_div(e, ge), q, ring.field)
+                    break
+            else:
+                rem[e] = d.pop(e)
+        if rem:
+            remainder[k] = ring.from_terms(rem)
+    return tuple(remainder)
 
 
 def normal_form(vec, gb: GroebnerBasis):
     """Canonical representative of vec modulo the submodule of gb."""
-    return _reduce(vec, gb.elements, gb.leading_terms, gb.order)
+    return _reduce(_accumulator(vec), gb.elements, gb.leading_terms, gb.order)
 
 
 def buchberger(
@@ -179,7 +195,7 @@ def buchberger(
     for g in gens:
         if vec_is_zero(g):
             continue
-        r = _reduce(g, vecs, lts, order)
+        r = _reduce(_accumulator(g), vecs, lts, order)
         if not vec_is_zero(r):
             add_element(r, from_pair=False)
 
@@ -190,10 +206,10 @@ def buchberger(
         lcm = monomial_lcm(ei, ej)
         a = monomial_div(lcm, ei)
         b = monomial_div(lcm, ej)
-        s = vec_sub(
-            vec_mul_term(vecs[i], a, field.inv(ci)),
-            vec_mul_term(vecs[j], b, field.inv(cj)),
-        )
+        # the S-polynomial x^a g_i / c_i - x^b g_j / c_j, built in place
+        s = [{} for _ in range(ambient.rank)]
+        _sub_multiple(s, vecs[i], a, field.neg(field.inv(ci)), field)
+        _sub_multiple(s, vecs[j], b, field.inv(cj), field)
         r = _reduce(s, vecs, lts, order)
         if not vec_is_zero(r):
             add_element(r, from_pair=True)
@@ -220,7 +236,7 @@ def _reduced_basis(vecs, ambient, order):
     for i in range(len(vecs)):
         others = vecs[:i] + vecs[i + 1 :]
         other_lts = lts[:i] + lts[i + 1 :]
-        r = _reduce(vecs[i], others, other_lts, order)
+        r = _reduce(_accumulator(vecs[i]), others, other_lts, order)
         vecs[i] = vec_scale(r, field.inv(lts[i][2]))
         lts[i] = (lts[i][0], lts[i][1], field.one)
     final = sorted(range(len(vecs)), key=lambda i: order.term_key(lts[i][0], lts[i][1]))

@@ -188,7 +188,7 @@ def parse_problem(text: str) -> ProblemFile:
     params = {}
     names = set()
     seen_quotient = False
-    seen_params = False
+    params_line = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -330,9 +330,9 @@ def parse_problem(text: str) -> ProblemFile:
             continue
 
         if word == "params":
-            if seen_params:
+            if params_line is not None:
                 raise ProblemSemanticError("duplicate params line", lineno)
-            seen_params = True
+            params_line = lineno
             cur.literal(":")
             while not cur.at_end():
                 key = cur.name()
@@ -363,7 +363,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemSyntaxError("missing ring line", 1, 1, expected=("ring",))
     for cand in params.get("candidates", ()):
         if cand not in ideals:
-            raise ProblemSemanticError(f"unknown candidate ideal {cand!r}")
+            raise ProblemSemanticError(f"unknown candidate ideal {cand!r}", params_line)
     return ProblemFile(
         d, char, base.field, ring, tuple(quotient), modules, ideals, params
     )

@@ -61,6 +61,11 @@ def reduced_hypersurface_setup(field=GF32003):
     return A, M, N, I
 
 
+def vec_sub(u, v):
+    """u - v entrywise; the package has no vector subtraction of its own."""
+    return tuple(a - b for a, b in zip(u, v))
+
+
 def random_poly(rng: random.Random, ring, degree):
     """Random homogeneous polynomial of the given degree (may be zero).
 

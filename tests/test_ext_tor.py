@@ -11,6 +11,7 @@ from helpers import (
     random_presentation,
     reduced_hypersurface_setup,
     two_relation_setup,
+    vec_sub,
 )
 import cmreg.ext_tor
 import cmreg.groebner
@@ -27,7 +28,6 @@ from cmreg.freemod import (
     vec_is_zero,
     vec_mul_poly,
     vec_reduce_entries,
-    vec_sub,
 )
 from cmreg.groebner import (
     DEFAULT_DEGREE_CAP,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_poly, random_presentation
+from helpers import random_poly, random_presentation, vec_sub
 from cmreg.errors import DegreeCapExceeded
 from cmreg.fields import GF32003, QQ
 from cmreg.freemod import (
@@ -20,7 +20,6 @@ from cmreg.freemod import (
     vec_mul_poly,
     vec_reduce_entries,
     vec_scale,
-    vec_sub,
     vector_coords,
 )
 from cmreg.groebner import (

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmreg.errors import ProblemSemanticError, ProblemSyntaxError
 from cmreg.problemfile import parse_problem, poly_text, pretty_print
@@ -113,6 +117,17 @@ def test_semantic_errors():
         )
 
 
+def test_unknown_candidate_reports_params_line():
+    text = "ring d=2 char=32003\nideal I: x1\nparams: imax=1 candidates=I,J\n"
+    with pytest.raises(ProblemSemanticError) as err:
+        parse_problem(text)
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: ")
+    # a candidate may name an ideal declared after the params line
+    pf = parse_problem(text + "ideal J: x2\n")
+    assert pf.params["candidates"] == ("I", "J")
+
+
 def test_zero_relation_vector_rejected():
     with pytest.raises(ProblemSemanticError):
         parse_problem(
@@ -131,3 +146,38 @@ def test_module_without_relations_is_free():
         pf.module("G")
     with pytest.raises(ProblemSemanticError):
         pf.ideal("I")
+
+
+SHIPPED = [
+    p.read_text()
+    for p in sorted((Path(__file__).parents[1] / "perfbench" / "problems").glob("*.prob"))
+]
+TOKENS = (
+    "ring", "quotient", "module", "ideal", "params", "targets", "relations",
+    "unit", "imax", "nmax", "degree_cap", "candidates", "d=", "char=", "x1",
+    "x4", "0", "7", "-1", "1/2", "^", "*", "+", "-", ",", ";", ":", "=", "[",
+    "]", " ", "\n", "#",
+)
+MUTATION = st.tuples(
+    st.sampled_from(("insert", "delete", "replace")),
+    st.integers(0, 10**4),
+    st.one_of(st.sampled_from(TOKENS), st.characters(min_codepoint=32, max_codepoint=126)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(SHIPPED), st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_problem_files_round_trip_or_fail_with_position(text, mutations):
+    for op, pos, token in mutations:
+        pos %= len(text) + 1
+        tail = text[pos:] if op == "insert" else text[pos + len(token) :]
+        text = text[:pos] + ("" if op == "delete" else token) + tail
+    try:
+        pf = parse_problem(text)
+    except ProblemSyntaxError:
+        return
+    except ProblemSemanticError as exc:
+        assert exc.line is not None, exc
+        return
+    printed = pretty_print(pf)
+    assert pretty_print(parse_problem(printed)) == printed
