@@ -176,7 +176,7 @@ def cmd_tor(args):
     return _cmd_ext_tor(args, "tor")
 
 
-def _candidate_ideals(pf, args):
+def _candidate_ideals(pf):
     names = pf.params.get("candidates", ())
     return [pf.ideal(name) for name in names]
 
@@ -187,7 +187,7 @@ def cmd_rho(args):
     I = pf.ideal(args.ideal)
     degree_cap = _pick_caps(pf, args)
     bound = rho_upper(
-        I, N, candidates=_candidate_ideals(pf, args),
+        I, N, candidates=_candidate_ideals(pf),
         n_max=args.nmax, degree_cap=degree_cap,
     )
     witness = "unit" if bound.witness is None else repr(bound.witness)
@@ -276,7 +276,7 @@ def cmd_verify(args):
         rho_value = args.rho
     else:
         rho_value = rho_upper(
-            I, N, candidates=_candidate_ideals(pf, args),
+            I, N, candidates=_candidate_ideals(pf),
             degree_cap=degree_cap,
         ).value
     report = verify_bounds(T, rho_value, f, const=args.const)

@@ -19,11 +19,11 @@ from .freemod import (
     GradedMap,
     ModulePresentation,
     basis_vector,
+    free_presentation,
     map_from_columns,
     vec_degree,
     vec_is_zero,
     vec_reduce_entries,
-    zero_map_into,
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -61,9 +61,7 @@ def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
     the B-coordinates plus the syzygies of the chosen generators."""
     zmin = minimal_generators(cycles, ambient)
     if not zmin:
-        pres = ModulePresentation(
-            zero_map_into(GradedFreeModule(ambient.ring, ()))
-        )
+        pres = free_presentation(ambient.ring, ())
         return SubquotientPresentation(ambient, cycles, boundaries, [], pres)
     twists = tuple(vec_degree(ambient, v) for v in zmin)
     zmap = map_from_columns(twists, ambient, zmin)
@@ -82,11 +80,8 @@ def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
         if not vec_is_zero(coords):
             rel_cols.append(coords)
     cover = GradedFreeModule(ambient.ring, twists)
-    if rel_cols:
-        rel_twists = tuple(vec_degree(cover, c) for c in rel_cols)
-        pres = ModulePresentation(map_from_columns(rel_twists, cover, rel_cols))
-    else:
-        pres = ModulePresentation(zero_map_into(cover))
+    rel_twists = tuple(vec_degree(cover, c) for c in rel_cols)
+    pres = ModulePresentation(map_from_columns(rel_twists, cover, rel_cols))
     return SubquotientPresentation(ambient, cycles, boundaries, zmin, pres)
 
 

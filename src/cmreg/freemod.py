@@ -257,11 +257,6 @@ def map_from_columns(source_twists, target: GradedFreeModule, columns) -> Graded
     return GradedMap(source, target, matrix)
 
 
-def zero_map_into(target: GradedFreeModule) -> GradedMap:
-    source = GradedFreeModule(target.ring, ())
-    return GradedMap(source, target, [[] for _ in range(target.rank)], check=False)
-
-
 # -- presentations -----------------------------------------------------------
 
 
@@ -305,7 +300,8 @@ class ModulePresentation:
 
 
 def free_presentation(ring, twists) -> ModulePresentation:
-    return ModulePresentation(zero_map_into(GradedFreeModule(ring, twists)))
+    F = GradedFreeModule(ring, twists)
+    return ModulePresentation(map_from_columns((), F, []))
 
 
 def cyclic_presentation(ring, gens) -> ModulePresentation:

@@ -29,9 +29,8 @@ from .errors import HomogeneityError, ProblemSemanticError, ProblemSyntaxError
 from .fields import field_of_characteristic
 from .freemod import (
     GradedFreeModule,
-    GradedMap,
     ModulePresentation,
-    free_presentation,
+    map_from_columns,
     vec_degree,
 )
 from .rees import IdealData, unit_ideal
@@ -276,9 +275,6 @@ def parse_problem(text: str) -> ProblemFile:
                     rel_texts.append(
                         _split_top(item[1:-1], ",", lineno, cur.col())
                     )
-            if not rel_texts:
-                modules[name] = free_presentation(ring, tuple(targets))
-                continue
             cols = []
             src_twists = []
             for vec_text in rel_texts:
@@ -298,12 +294,8 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ProblemSemanticError("zero relation vector", lineno)
                 cols.append(col)
                 src_twists.append(deg)
-            matrix = [
-                [cols[m][k] for m in range(len(cols))]
-                for k in range(len(targets))
-            ]
             modules[name] = ModulePresentation(
-                GradedMap(GradedFreeModule(ring, tuple(src_twists)), cover, matrix)
+                map_from_columns(tuple(src_twists), cover, cols)
             )
             continue
 

@@ -37,7 +37,7 @@ class IdealData:
 
     __slots__ = ("ring", "generators", "degrees", "improper")
 
-    def __init__(self, ring, generators, cap=DEFAULT_DEGREE_CAP):
+    def __init__(self, ring, generators):
         self.ring = ring
         gens = [ring.normal_form(g) for g in generators]
         gens = [g for g in gens if not g.is_zero()]
@@ -45,12 +45,9 @@ class IdealData:
         mins = minimal_generators([(g,) for g in gens], F)
         self.generators = tuple(v[0] for v in mins)
         self.degrees = tuple(g.degree for g in self.generators)
-        one = (ring.base.one,)
-        if self.generators:
-            gb = submodule_gb([(g,) for g in self.generators], F, cap=cap)
-            self.improper = submodule_contains(gb, one)
-        else:
-            self.improper = False
+        # A is graded with A_0 = K and (z) has no units, so 1 lies in I
+        # iff I_0 != 0 iff some minimal generator is a nonzero constant
+        self.improper = 0 in self.degrees
 
     @property
     def is_zero(self) -> bool:
@@ -101,7 +98,7 @@ def power_module(
 
 
 def quotient_module(
-    N: ModulePresentation, I: IdealData, n: int, degree_cap=DEFAULT_DEGREE_CAP
+    N: ModulePresentation, I: IdealData, n: int
 ) -> ModulePresentation:
     """N / I^n N (the zero module when n = 0)."""
     F = N.cover
@@ -110,10 +107,6 @@ def quotient_module(
         return N
     prods = _power_products(I, n)
     cols = cols + scaled_basis(F, prods)
-    if not cols:
-        return ModulePresentation(
-            map_from_columns((), F, [])
-        )
     twists = tuple(vec_degree(F, c) for c in cols)
     return ModulePresentation(map_from_columns(twists, F, cols))
 

@@ -18,12 +18,10 @@ from itertools import combinations
 from .freemod import (
     GradedFreeModule,
     ModulePresentation,
-    free_presentation,
     map_from_columns,
     piece_basis,
     span_matrix,
     vec_degree,
-    vector_coords,
 )
 from .groebner import DEFAULT_DEGREE_CAP, relation_vectors
 from .linalg import rank, reduce_vector, row_reduce
@@ -40,8 +38,6 @@ def present_over_Q(M: ModulePresentation) -> ModulePresentation:
     Q = ring.base
     F = GradedFreeModule(Q, M.cover.twists)
     cols = M.relations.columns() + relation_vectors(M.cover)
-    if not cols:
-        return free_presentation(Q, F.twists)
     twists = tuple(vec_degree(F, c) for c in cols)
     return ModulePresentation(map_from_columns(twists, F, cols))
 
@@ -94,14 +90,6 @@ class GradedPieces:
         if s < self.lo or s > self.hi:
             return 0
         return len(self._free_cols[s])
-
-    def coords(self, v, s: int):
-        """Coordinates of a degree-s vector of the cover in the piece basis
-        of M_s (after killing the relation rowspace)."""
-        amb = vector_coords(self.M.cover, v, s, self._amb[s])
-        rref, piv = self._rref[s]
-        red = reduce_vector(amb, rref, piv, self.field)
-        return [red[c] for c in self._free_cols[s]]
 
     def mult_matrix(self, var: int, s: int):
         """Matrix of x_var: M_s -> M_{s+1}, columns indexed by the M_s

@@ -18,9 +18,6 @@ from .freemod import (
     ModulePresentation,
     map_from_columns,
     vec_degree,
-    vec_is_zero,
-    vec_reduce_entries,
-    zero_map_into,
 )
 from .groebner import DEFAULT_DEGREE_CAP, kernel, minimal_generators
 from .rings import QuotientRing
@@ -133,7 +130,7 @@ def betti_table(R: FreeResolution) -> BettiTable:
 # -- minimization -------------------------------------------------------------
 
 
-def _unit_entry(mats, twist_lists, field):
+def _unit_entry(mats, twist_lists):
     """First (l, k, m) with a nonzero constant entry, scanning l, k, m
     ascending; None when every entry has positive degree."""
     for l in range(1, len(twist_lists)):
@@ -152,7 +149,8 @@ def minimize(R: FreeResolution) -> FreeResolution:
 
     A unit u at row k, column m of d_l splits off an exact pair: d_l sheds
     row k and column m with the correction B - w u^{-1} v, d_{l+1} sheds
-    row m, and d_{l-1} sheds column k.
+    row m, and d_{l-1} sheds column k.  A row whose entry w in column m is
+    zero needs no correction and is carried over as it is.
     """
     ring = R.ring
     field = R.modules[0].base.field if R.modules else None
@@ -162,25 +160,24 @@ def minimize(R: FreeResolution) -> FreeResolution:
     ]  # mats[l][k][m], 1-based in l
 
     while True:
-        hit = _unit_entry(mats, twist_lists, field)
+        hit = _unit_entry(mats, twist_lists)
         if hit is None:
             break
         l, k, m = hit
-        u = mats[l][k][m]
-        uinv = field.inv(u.lc())
-        old = mats[l]
+        uinv = field.inv(mats[l][k][m].lc())
+        v = mats[l][k][:m] + mats[l][k][m + 1:]
         new = []
-        for k2, row in enumerate(old):
+        for k2, row in enumerate(mats[l]):
             if k2 == k:
                 continue
-            w = old[k2][m]
-            new_row = []
-            for m2, p in enumerate(row):
-                if m2 == m:
-                    continue
-                corr = (w * old[k][m2]).scale(uinv)
-                new_row.append(ring.normal_form(p - corr))
-            new.append(new_row)
+            w = row[m]
+            row = row[:m] + row[m + 1:]
+            if not w.is_zero():
+                row = [
+                    ring.normal_form(p - (w * q).scale(uinv))
+                    for p, q in zip(row, v)
+                ]
+            new.append(row)
         mats[l] = new
         if l + 1 < len(mats):
             mats[l + 1] = [row for j, row in enumerate(mats[l + 1]) if j != m]
@@ -201,30 +198,21 @@ def minimize(R: FreeResolution) -> FreeResolution:
     )
 
 
-def minimal_presentation(M: ModulePresentation, cap=DEFAULT_DEGREE_CAP):
-    """Equivalent presentation with a minimal cover and minimal relations."""
-    ring = M.ring
-    F = M.cover
-    cols = [vec_reduce_entries(F, c) for c in M.relations.columns()]
-    cols = [c for c in cols if not vec_is_zero(c)]
-    while True:
-        cols = minimal_generators(cols, F)
-        if cols:
-            d1 = map_from_columns(
-                tuple(vec_degree(F, c) for c in cols), F, cols
-            )
-        else:
-            d1 = zero_map_into(F)
-        two_term = FreeResolution(ring, [F, d1.source], [d1])
-        pruned = minimize(two_term)
-        newF = pruned.modules[0]
-        if newF.rank == F.rank:
-            return ModulePresentation(pruned.maps[0])
-        F = GradedFreeModule(ring, newF.twists)
-        cols = [
-            vec_reduce_entries(F, c) for c in pruned.maps[0].columns()
-        ]
-        cols = [c for c in cols if not vec_is_zero(c)]
+def minimal_presentation(M: ModulePresentation) -> ModulePresentation:
+    """Equivalent presentation with a minimal cover and minimal relations.
+
+    Cancelling the unit entries of F_0 <- F_1 first leaves every nonzero
+    entry of positive degree, so the cover is minimal; one Nakayama pass
+    then keeps a subset of the relation columns, which has no unit entry
+    either, so the cover stays minimal.
+    """
+    F1 = M.relations.source
+    pruned = minimize(FreeResolution(M.ring, [M.cover, F1], [M.relations]))
+    F = pruned.modules[0]
+    cols = minimal_generators(pruned.maps[0].columns(), F)
+    return ModulePresentation(
+        map_from_columns(tuple(vec_degree(F, c) for c in cols), F, cols)
+    )
 
 
 # -- construction -------------------------------------------------------------
@@ -283,7 +271,7 @@ def resolve_over_Q(
     if isinstance(ring, QuotientRing):
         raise ValueError("resolve_over_Q needs a presentation over Q")
     if minimal:
-        M = minimal_presentation(M, cap=degree_cap)
+        M = minimal_presentation(M)
     limit = ring.nvars if minimal else ring.nvars + 1
     R = _resolve(M, limit + 1, minimal, degree_cap)
     if not R.complete:
@@ -298,5 +286,5 @@ def resolve_over_A(
 ) -> FreeResolution:
     """Minimal free resolution over A = Q/(z), exact through homological
     degree cap (modules F_0..F_cap computed unless it terminates early)."""
-    M = minimal_presentation(M, cap=degree_cap)
+    M = minimal_presentation(M)
     return _resolve(M, cap, True, degree_cap)

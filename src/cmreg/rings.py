@@ -290,7 +290,7 @@ class QuotientRing:
     allowed and makes A a copy of Q.
     """
 
-    def __init__(self, base: PolyRing, relations, check_regular: bool = True):
+    def __init__(self, base: PolyRing, relations):
         self.base = base
         rels = []
         for z in relations:
@@ -304,7 +304,7 @@ class QuotientRing:
         self.relations = tuple(rels)
         self.f_degrees = tuple(sorted(z.degree for z in self.relations))
         self._zgb = None
-        if check_regular and self.relations:
+        if self.relations:
             self._check_regular_sequence()
 
     def _groebner_of_relations(self):

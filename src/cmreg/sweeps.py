@@ -115,7 +115,7 @@ def sweep(
             if variant == "power":
                 C = power_module(I, n, N, degree_cap=degree_cap)
             else:
-                C = quotient_module(N, I, n, degree_cap=degree_cap)
+                C = quotient_module(N, I, n)
             for idx in range(2 * i_max + 2):
                 try:
                     E = ext(M, C, idx, resolution=R, degree_cap=degree_cap)

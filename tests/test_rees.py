@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from helpers import (
     cyclic_quotient,
     hypersurface_setup,
+    random_poly,
     reduced_hypersurface_setup,
 )
 from cmreg.errors import ReductionPreconditionError
 from cmreg.fields import GF32003
-from cmreg.freemod import NEG_INF, free_presentation
+from cmreg.freemod import NEG_INF, GradedFreeModule, free_presentation
+from cmreg.groebner import submodule_contains, submodule_gb
 from cmreg.rees import (
     IdealData,
     d_of,
@@ -53,6 +57,36 @@ def test_unit_ideal_powers_fix_everything():
     # N / A^n N = 0 for every n
     for n in range(3):
         assert regularity(quotient_module(N, I, n)) == NEG_INF
+
+
+def test_improper_matches_membership_of_one():
+    # the reference is the Groebner answer IdealData gave before it read
+    # improper off the generator degrees: is 1 in the span of I?
+    rng = random.Random(20261021)
+    Q2 = PolyRing(2, GF32003)
+    Q3 = PolyRing(3, GF32003)
+    rings = [
+        Q2,
+        Q3,
+        QuotientRing(Q2, [Q2.poly("x1^2")]),
+        QuotientRing(Q3, [Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
+    ]
+    answers = []
+    for ring in rings:
+        F = GradedFreeModule(ring, (0,))
+        ideals = [IdealData(ring, []), IdealData(ring, list(ring.relations))]
+        for _ in range(12):
+            gens = [
+                random_poly(rng, ring, rng.randint(0, 3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            ideals.append(IdealData(ring, gens + list(ring.relations)))
+        for I in ideals:
+            gb = submodule_gb([(g,) for g in I.generators], F)
+            one = bool(I.generators) and submodule_contains(gb, (ring.base.one,))
+            assert I.improper == one
+            answers.append((I.is_zero, one))
+    assert {(True, False), (False, False), (False, True)} <= set(answers)
 
 
 def test_is_reduction_and_certificate():

@@ -1,7 +1,9 @@
-"""Every name the package imports is used in the module that imports it.
+"""Every name the package imports is used in the module that imports it,
+and every parameter of a package function is read in its body.
 
 __init__.py re-exports its imports and is exempt, as are __future__
-imports.
+imports.  The parameter scan exempts self, cls, _-prefixed names and
+dunder methods, whose signatures the data model fixes.
 """
 
 from __future__ import annotations
@@ -35,5 +37,45 @@ def test_package_has_no_unused_imports():
         f"{path.name}:{line}: {name}"
         for path in sources
         for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not unused, unused
+
+
+def _unused_parameters(tree):
+    """(line, function, parameter) for each parameter that no Name node in
+    the function's body reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for p in params:
+            name = p.arg
+            if name in ("self", "cls") or name.startswith("_"):
+                continue
+            if name not in read:
+                found.append((node.lineno, node.name, name))
+    return found
+
+
+def test_package_has_no_unused_parameters():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    unused = [
+        f"{path.name}:{line}: {fn}({name})"
+        for path in sources
+        for line, fn, name in _unused_parameters(
+            ast.parse(path.read_text(), str(path))
+        )
     ]
     assert not unused, unused
