@@ -132,21 +132,6 @@ def piece_basis(F: GradedFreeModule, s: int):
     return out
 
 
-def vector_coords(F: GradedFreeModule, v, s: int, basis=None):
-    """Coordinates of a degree-s vector in the piece_basis of F_s."""
-    if basis is None:
-        basis = piece_basis(F, s)
-    return _coords(F, v, {be: i for i, be in enumerate(basis)})
-
-
-def _coords(F, v, index):
-    coords = [F.base.field.zero] * len(index)
-    for k, p in enumerate(vec_reduce_entries(F, v)):
-        for e, c in p.terms.items():
-            coords[index[(k, e)]] = c
-    return coords
-
-
 def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
     """Rows spanning the degree-s piece of the submodule generated by gens.
 
@@ -162,7 +147,11 @@ def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
         if d is None or d > s:
             continue
         for e in F.ring.std_monomials_of_degree(s - d):
-            rows.append(_coords(F, vec_mul_term(g, e, 1), index))
+            row = [F.base.field.zero] * len(basis)
+            for k, p in enumerate(vec_reduce_entries(F, vec_mul_term(g, e, 1))):
+                for m, c in p.terms.items():
+                    row[index[(k, m)]] = c
+            rows.append(row)
     return rows
 
 

@@ -10,6 +10,11 @@ be homogeneous in the twisted sense.  The term order is position-over-term:
 positions are ranked by ascending twist (ties by index), earlier rank wins
 outright, and within a position the ring's monomial order applies.
 
+Every basis comes from one degree-ordered Buchberger loop, whose heap holds
+the inputs as well as the S-pairs.  Its bases are minimal and monic but not
+tail-reduced, and they record which inputs entered; minimal_generators reads
+graded Nakayama off that record.
+
 Kernels and preimages of a map phi come from one elimination basis:
 Elimination(phi) builds it once, and its kernel() and preimage(b) methods
 share it.  The module-level kernel() and preimage() build a fresh one per
@@ -82,16 +87,23 @@ class ModuleOrder:
 
 
 class GroebnerBasis:
-    """Reduced monic Groebner basis of a submodule of a free Q-module;
-    elements are plain vectors sorted by ascending leading term."""
+    """Minimal monic Groebner basis of a submodule of a free Q-module;
+    elements are plain vectors sorted by ascending leading term.
 
-    __slots__ = ("ambient", "order", "elements", "leading_terms")
+    No leading term divides another, but tails are not reduced, so the
+    elements are not unique: their leading terms, normal forms and span are.
+    kept lists the indices of the inputs that entered the basis, in the
+    order they entered; every other input reduced to zero.
+    """
 
-    def __init__(self, ambient, order, elements, leading_terms):
+    __slots__ = ("ambient", "order", "elements", "leading_terms", "kept")
+
+    def __init__(self, ambient, order, elements, leading_terms, kept=()):
         self.ambient = ambient
         self.order = order
         self.elements = elements
         self.leading_terms = leading_terms
+        self.kept = kept
 
     def __len__(self):
         return len(self.elements)
@@ -155,93 +167,65 @@ def buchberger(
     order: ModuleOrder = None,
     cap=DEFAULT_DEGREE_CAP,
 ):
-    """Reduced monic Groebner basis of the Q-submodule generated by gens.
+    """Minimal monic Groebner basis of the Q-submodule generated by gens.
 
-    Homogeneous Buchberger: S-pairs are processed in ascending S-degree, so
-    for homogeneous input the basis is produced degree by degree and a new
-    element of degree above cap aborts with DegreeCapExceeded.  The product
-    (coprime leading monomial) criterion is applied only in ambient rank 1;
-    it is not valid for module leading terms in general.
+    Homogeneous Buchberger over one heap in ascending degree (La Scala and
+    Stillman's degree-by-degree strategy): each input enters at its degree,
+    each S-pair at its S-degree, and at equal degree S-pairs pop first and
+    inputs follow in list order.  When an entry pops, the basis so far is a
+    Groebner basis up to that degree of everything popped before it, so an
+    input is redundant iff it reduces to zero, and the basis is minimal: no
+    leading term divides another.  A new element from an S-pair of degree above cap aborts
+    with DegreeCapExceeded; inputs are exempt.  The product (coprime
+    leading monomial) criterion is applied only in ambient rank 1; it is
+    not valid for module leading terms in general.
     """
     if order is None:
         order = ModuleOrder(ambient)
     field = ambient.base.field
-
-    vecs = []
-    lts = []
-
-    def add_element(vec, from_pair):
-        if from_pair and cap is not None:
-            d = vec_degree(ambient, vec)
-            if d > cap:
-                raise DegreeCapExceeded(
-                    f"Groebner element of degree {d} exceeds cap {cap}", d, cap
-                )
-        i = len(vecs)
-        vecs.append(vec)
-        lts.append(order.leading_term(vec))
-        for j in range(i):
-            if lts[j][0] != lts[i][0]:
-                continue
-            lcm = monomial_lcm(lts[j][1], lts[i][1])
-            if ambient.rank == 1 and monomial_degree(lcm) == monomial_degree(
-                lts[j][1]
-            ) + monomial_degree(lts[i][1]):
-                continue
-            sdeg = monomial_degree(lcm) + ambient.twists[lts[j][0]]
-            heapq.heappush(pairs, (sdeg, j, i))
-
-    pairs = []
-    for g in gens:
-        if vec_is_zero(g):
+    # (degree, 0, i, j) for the S-pair of elements i < j, (degree, 1, i, g)
+    # for the input g = gens[i]; the second slot puts S-pairs first
+    heap = [
+        (vec_degree(ambient, g), 1, i, g)
+        for i, g in enumerate(gens)
+        if not vec_is_zero(g)
+    ]
+    heapq.heapify(heap)
+    vecs, lts, kept = [], [], []
+    while heap:
+        d, is_input, i, j = heapq.heappop(heap)
+        if is_input:
+            r = _reduce(_accumulator(j), vecs, lts, order)
+        else:
+            (_, ei, _), (_, ej, _) = lts[i], lts[j]
+            lcm = monomial_lcm(ei, ej)
+            # the S-polynomial x^a g_i - x^b g_j of two monic elements
+            s = [{} for _ in range(ambient.rank)]
+            _sub_multiple(s, vecs[i], monomial_div(lcm, ei), field.neg(field.one), field)
+            _sub_multiple(s, vecs[j], monomial_div(lcm, ej), field.one, field)
+            r = _reduce(s, vecs, lts, order)
+        if vec_is_zero(r):
             continue
-        r = _reduce(_accumulator(g), vecs, lts, order)
-        if not vec_is_zero(r):
-            add_element(r, from_pair=False)
+        if is_input:
+            kept.append(i)
+        elif cap is not None and d > cap:
+            raise DegreeCapExceeded(
+                f"Groebner element of degree {d} exceeds cap {cap}", d, cap
+            )
+        k, e, c = order.leading_term(r)
+        for m, (mk, me, _) in enumerate(lts):
+            if mk != k:
+                continue
+            ldeg = monomial_degree(monomial_lcm(me, e))
+            if ambient.rank == 1 and ldeg == monomial_degree(me) + monomial_degree(e):
+                continue
+            heapq.heappush(heap, (ldeg + ambient.twists[k], 0, m, len(vecs)))
+        vecs.append(vec_scale(r, field.inv(c)))
+        lts.append((k, e, field.one))
 
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        _, ei, ci = lts[i]
-        _, ej, cj = lts[j]
-        lcm = monomial_lcm(ei, ej)
-        a = monomial_div(lcm, ei)
-        b = monomial_div(lcm, ej)
-        # the S-polynomial x^a g_i / c_i - x^b g_j / c_j, built in place
-        s = [{} for _ in range(ambient.rank)]
-        _sub_multiple(s, vecs[i], a, field.neg(field.inv(ci)), field)
-        _sub_multiple(s, vecs[j], b, field.inv(cj), field)
-        r = _reduce(s, vecs, lts, order)
-        if not vec_is_zero(r):
-            add_element(r, from_pair=True)
-
-    return _reduced_basis(vecs, ambient, order)
-
-
-def _reduced_basis(vecs, ambient, order):
-    field = ambient.base.field
-    lts = [order.leading_term(v) for v in vecs]
-    # minimal: drop any element whose leading term another one divides
-    idx = sorted(range(len(vecs)), key=lambda i: order.term_key(lts[i][0], lts[i][1]))
-    kept = []
-    for i in idx:
-        ki, ei, _ = lts[i]
-        if any(
-            lts[j][0] == ki and monomial_divides(lts[j][1], ei) for j in kept
-        ):
-            continue
-        kept.append(i)
-    vecs = [vecs[i] for i in kept]
-    lts = [lts[i] for i in kept]
-    # tail-reduce each element against the others, then scale monic
-    for i in range(len(vecs)):
-        others = vecs[:i] + vecs[i + 1 :]
-        other_lts = lts[:i] + lts[i + 1 :]
-        r = _reduce(_accumulator(vecs[i]), others, other_lts, order)
-        vecs[i] = vec_scale(r, field.inv(lts[i][2]))
-        lts[i] = (lts[i][0], lts[i][1], field.one)
-    final = sorted(range(len(vecs)), key=lambda i: order.term_key(lts[i][0], lts[i][1]))
+    final = sorted(range(len(vecs)), key=lambda i: order.term_key(*lts[i][:2]))
     return GroebnerBasis(
-        ambient, order, [vecs[i] for i in final], [lts[i] for i in final]
+        ambient, order, [vecs[i] for i in final], [lts[i] for i in final], kept
     )
 
 
@@ -257,8 +241,7 @@ def submodule_gb(gens, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP):
     """Groebner basis deciding membership in the submodule of F spanned by
     gens, over F's ring (relation multiples are adjoined over a quotient)."""
     ambient = GradedFreeModule(F.base, F.twists)
-    all_gens = list(gens) + relation_vectors(F)
-    return buchberger(all_gens, ambient, cap=cap)
+    return buchberger(list(gens) + relation_vectors(F), ambient, cap=cap)
 
 
 def submodule_contains(gb: GroebnerBasis, vec) -> bool:
@@ -266,52 +249,36 @@ def submodule_contains(gb: GroebnerBasis, vec) -> bool:
 
 
 def submodule_equal(gens1, gens2, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP) -> bool:
-    """Equality of the two spans inside F, decided by comparing reduced
-    bases (unique for the fixed order)."""
+    """Equality of the two spans inside F, decided by mutual containment
+    (minimal bases are not unique, so their elements are not compared)."""
     gb1 = submodule_gb(gens1, F, cap=cap)
     gb2 = submodule_gb(gens2, F, cap=cap)
-    return gb1.elements == gb2.elements
+    return all(submodule_contains(gb2, g) for g in gens1) and all(
+        submodule_contains(gb1, g) for g in gens2
+    )
 
 
 def minimal_generators(gens, F: GradedFreeModule):
     """Subset of gens that minimally generates their span over F's ring.
 
-    Degree-ascending graded Nakayama: a generator of degree t is kept iff it
-    is independent of the positive-degree multiples of all generators plus
-    the same-degree generators already kept.  Output sorted by descending
-    degree (stable within a degree).
+    Graded Nakayama read off one uncapped buchberger run over Q on the
+    relation multiples followed by the entrywise normal forms of gens: a
+    generator of degree t enters the basis iff it is independent of the
+    positive-degree multiples of all generators plus the same-degree
+    generators already kept.  Relation multiples go first, so they are
+    never candidates.  Output sorted by descending degree (stable within a
+    degree).
     """
-    from .freemod import piece_basis, span_matrix, vector_coords
-    from .linalg import reduce_vector, row_reduce
-
-    field = F.base.field
     gens = [vec_reduce_entries(F, g) for g in gens]
     gens = [g for g in gens if not vec_is_zero(g)]
     if not gens:
         return []
-    degs = [vec_degree(F, g) for g in gens]
-    selected = []
-    for t in sorted(set(degs)):
-        basis = piece_basis(F, t)
-        lower = [g for g, d in zip(gens, degs) if d < t]
-        # every multiplier has positive degree here, so rows spans exactly
-        # the degree-t piece of (irrelevant ideal) * span(gens)
-        rows, piv = row_reduce(span_matrix(F, lower, t, basis), field)
-        for g, d in zip(gens, degs):
-            if d != t:
-                continue
-            v = reduce_vector(vector_coords(F, g, t, basis), rows, piv, field)
-            p = next((c for c, x in enumerate(v) if x != field.zero), None)
-            if p is None:
-                continue
-            selected.append((t, g))
-            # the residual is zero on every earlier pivot, so reducing
-            # against the rows in order stays exact with it appended
-            inv = field.inv(v[p])
-            rows.append([field.mul(inv, x) for x in v])
-            piv.append(p)
-    selected.sort(key=lambda td: -td[0])
-    return [g for _, g in selected]
+    rels = relation_vectors(F)
+    ambient = GradedFreeModule(F.base, F.twists)
+    gb = buchberger(rels + gens, ambient, cap=None)
+    kept = [gens[n - len(rels)] for n in gb.kept if n >= len(rels)]
+    kept.sort(key=lambda g: -vec_degree(F, g))
+    return kept
 
 
 # -- kernels and preimages via elimination ------------------------------------

@@ -11,6 +11,8 @@ from cmreg.freemod import (
     GradedMap,
     ModulePresentation,
     free_presentation,
+    piece_basis,
+    vec_reduce_entries,
 )
 from cmreg.rees import IdealData, unit_ideal
 from cmreg.rings import PolyRing, QuotientRing
@@ -64,6 +66,19 @@ def reduced_hypersurface_setup(field=GF32003):
 def vec_sub(u, v):
     """u - v entrywise; the package has no vector subtraction of its own."""
     return tuple(a - b for a, b in zip(u, v))
+
+
+def vector_coords(F: GradedFreeModule, v, s: int, basis=None):
+    """Coordinates of a degree-s vector in the piece_basis of F_s (entries
+    are taken mod (z) over a quotient ring)."""
+    if basis is None:
+        basis = piece_basis(F, s)
+    index = {be: i for i, be in enumerate(basis)}
+    coords = [F.base.field.zero] * len(basis)
+    for k, p in enumerate(vec_reduce_entries(F, v)):
+        for e, c in p.terms.items():
+            coords[index[(k, e)]] = c
+    return coords
 
 
 def random_poly(rng: random.Random, ring, degree):

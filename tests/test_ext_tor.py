@@ -14,7 +14,6 @@ from helpers import (
     vec_sub,
 )
 import cmreg.ext_tor
-import cmreg.groebner
 from cmreg.ext_tor import ext, to_presentation, tor
 from cmreg.fields import GF32003
 from cmreg.freemod import (
@@ -37,8 +36,9 @@ from cmreg.groebner import (
     submodule_equal,
     submodule_gb,
 )
-from cmreg.regularity import regularity
-from cmreg.resolution import resolve_over_A
+from cmreg.rees import power_module, quotient_module
+from cmreg.regularity import betti_oracle, present_over_Q, regularity
+from cmreg.resolution import betti_table, resolve_over_A, resolve_over_Q
 from cmreg.rings import PolyRing, QuotientRing
 
 
@@ -128,6 +128,27 @@ def test_ext_target_shift():
             assert _reg(ext(M, N.shift(a), i)) == base - a
 
 
+@pytest.mark.parametrize(
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup]
+)
+def test_ext_cells_match_the_betti_oracle(setup):
+    # every cell of the acceptance grids at i_max = n_max = 2 (Ext indices
+    # 0..5), both variants: the Koszul oracle, which is linear algebra only,
+    # against the minimal resolution over Q
+    A, M, N, I = setup()
+    R = resolve_over_A(M, 6)
+    nonzero = 0
+    for n in range(3):
+        for C in (power_module(I, n, N), quotient_module(N, I, n)):
+            for index in range(6):
+                P = ext(M, C, index, resolution=R).presentation
+                oracle = betti_oracle(P)
+                assert not oracle.partial
+                assert oracle == betti_table(resolve_over_Q(present_over_Q(P)))
+                nonzero += bool(oracle.entries)
+    assert nonzero > 0
+
+
 def test_to_presentation_builds_one_elimination_basis(monkeypatch):
     # the kernel of the generator map and the preimage of every boundary
     # share one elimination basis
@@ -136,13 +157,13 @@ def test_to_presentation_builds_one_elimination_basis(monkeypatch):
     F = GradedFreeModule(A, (0,))
     x1, x2 = A.poly("x1"), A.poly("x2")
     calls = []
-    real = cmreg.groebner.buchberger
+    real = cmreg.ext_tor.Elimination
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cmreg.groebner, "buchberger", counting)
+    monkeypatch.setattr(cmreg.ext_tor, "Elimination", counting)
     sub = to_presentation(F, [(Q.one,), (x1,)], [(x1,), (x2,), (x1 * x2,)])
     assert len(calls) == 1
     assert sub.generators == [(Q.one,)]

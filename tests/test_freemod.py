@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import vector_coords
 from cmreg.errors import HomogeneityError
 from cmreg.fields import GF32003
 from cmreg.freemod import (
@@ -15,7 +16,6 @@ from cmreg.freemod import (
     presentation_hilbert,
     span_matrix,
     vec_degree,
-    vector_coords,
 )
 from cmreg.rings import PolyRing, QuotientRing
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_poly, random_presentation, vec_sub
+from helpers import random_poly, random_presentation, vec_sub, vector_coords
 from cmreg.errors import DegreeCapExceeded
 from cmreg.fields import GF32003, QQ
 from cmreg.freemod import (
@@ -20,10 +20,10 @@ from cmreg.freemod import (
     vec_mul_poly,
     vec_reduce_entries,
     vec_scale,
-    vector_coords,
 )
 from cmreg.groebner import (
     Elimination,
+    GroebnerBasis,
     buchberger,
     kernel,
     minimal_generators,
@@ -35,7 +35,7 @@ from cmreg.groebner import (
     submodule_gb,
 )
 from cmreg.linalg import in_row_span, rank, row_reduce
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing, QuotientRing, monomial_divides
 
 Q2 = PolyRing(2, GF32003)
 
@@ -123,7 +123,6 @@ def test_submodule_membership_vs_linear_algebra(seed):
         v = (random_poly(rng, Q2, s),)
         if vec_is_zero(v):
             continue
-        from cmreg.freemod import vector_coords
         from cmreg.linalg import in_row_span, row_reduce
 
         coords = vector_coords(F, v, s, basis)
@@ -337,13 +336,151 @@ def test_degree_cap_exempts_input_reduction():
 
 
 def test_degree_cap_raises_on_spair():
-    # lcm(x1*x2, x1^2) = x1^2*x2 leaves the S-element x2^3 of degree 3
+    # lcm(x1*x2, x1^2) = x1^2*x2 leaves the S-element x2^3 of degree 3; the
+    # S-pair pops before the degree-3 input x2^3, so supplying that element
+    # as an input does not help
     F = GradedFreeModule(Q2, (0,))
-    gens = [(Q2.poly("x1*x2"),), (Q2.poly("x1^2+x2^2"),)]
-    with pytest.raises(DegreeCapExceeded):
-        buchberger(gens, F, cap=2)
-    gb = buchberger(gens, F, cap=3)
-    assert normal_form((Q2.poly("x2^3"),), gb)[0].is_zero()
+    pair = [(Q2.poly("x1*x2"),), (Q2.poly("x1^2+x2^2"),)]
+    for gens in (pair, pair[::-1] + [(Q2.poly("x2^3"),)]):
+        with pytest.raises(DegreeCapExceeded):
+            buchberger(gens, F, cap=2)
+        gb = buchberger(gens, F, cap=3)
+        assert normal_form((Q2.poly("x2^3"),), gb)[0].is_zero()
+
+
+def _cap_outcome(gens, F, cap):
+    try:
+        buchberger(gens, F, cap=cap)
+    except DegreeCapExceeded:
+        return "raised"
+    return "passed"
+
+
+def test_degree_cap_outcome_ignores_input_order(seed):
+    # random generators plus combinations of them in higher degrees, which
+    # are exactly what S-pairs produce; whether a cap fires must depend on
+    # the span alone, not on the order of the inputs
+    rng = random.Random(seed)
+    outcomes = set()
+    for trial in range(60):
+        ring = PolyRing(rng.choice((2, 3)), GF32003)
+        twists = sorted(rng.randint(0, 1) for _ in range(1 + trial % 2))
+        F = GradedFreeModule(ring, tuple(twists))
+        gens = _random_gens(rng, F, rng.randint(2, 3), max_deg=2)
+        if not gens:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            s = max(F.twists) + rng.randint(2, 3)
+            v = None
+            for g in gens:
+                w = vec_mul_poly(g, random_poly(rng, ring, s - vec_degree(F, g)))
+                v = w if v is None else vec_add(v, w)
+            if not vec_is_zero(v):
+                gens.append(v)
+        shuffled = rng.sample(gens, len(gens))
+        for cap in range(1, 6):
+            outcome = _cap_outcome(gens, F, cap)
+            assert _cap_outcome(shuffled, F, cap) == outcome
+            outcomes.add(outcome)
+    assert outcomes == {"raised", "passed"}
+
+
+def _reduced_reference(elements, gb):
+    """Test-local reference: the unique reduced monic basis of a submodule,
+    from any list of its elements that contains a Groebner basis of it.
+    Keep the elements whose leading term no kept one divides (ascending
+    order puts divisors first), make them monic and replace each tail by
+    its normal form against gb, any Groebner basis of the same submodule."""
+    order, field = gb.order, gb.ambient.base.field
+    ring = gb.ambient.base
+    ordered = sorted(elements, key=lambda v: order.term_key(*order.leading_term(v)[:2]))
+    out, lts = [], []
+    for v in ordered:
+        k, e, c = order.leading_term(v)
+        if any(lk == k and monomial_divides(le, e) for lk, le, _ in lts):
+            continue
+        v = vec_scale(v, field.inv(c))
+        lead = tuple(
+            ring.monomial(e, field.one) if i == k else ring.zero for i in range(len(v))
+        )
+        out.append(vec_add(lead, normal_form(vec_sub(v, lead), gb)))
+        lts.append((k, e, field.one))
+    return GroebnerBasis(gb.ambient, order, out, lts)
+
+
+def _is_minimal_and_monic(gb):
+    lts = gb.leading_terms
+    if any(c != gb.ambient.base.field.one for _, _, c in lts):
+        return False
+    if [gb.order.leading_term(v) for v in gb.elements] != lts:
+        return False
+    return not any(
+        i != j and a[0] == b[0] and monomial_divides(a[1], b[1])
+        for i, a in enumerate(lts)
+        for j, b in enumerate(lts)
+    )
+
+
+@pytest.mark.parametrize("field", [GF32003, QQ], ids=["gf32003", "qq"])
+@pytest.mark.parametrize("quotient", [False, True], ids=["poly", "quotient"])
+def test_minimal_basis_matches_reduced_reference(seed, field, quotient):
+    # bases are minimal, not reduced: against the reduced reference they
+    # share leading terms, normal forms and spans, and tail-reduce to it
+    rng = random.Random(seed)
+    ring = _quotient_ring(field) if quotient else PolyRing(2, field)
+    F = GradedFreeModule(ring, (0, 1))
+    base = F.base
+    agreed = set()
+    for trial in range(8):
+        gens = _redundant_gens(rng, F, 3)
+        if not gens:
+            continue
+        gb = submodule_gb(gens, F)
+        # another run on the same span: shuffled, with extra multiples
+        other = submodule_gb(
+            rng.sample(gens, len(gens)) + [vec_mul_poly(gens[0], base.variable(1))], F
+        )
+        assert _is_minimal_and_monic(gb) and _is_minimal_and_monic(other)
+        ref = _reduced_reference(gb.elements + other.elements, gb)
+        assert gb.leading_terms == ref.leading_terms == other.leading_terms
+        assert _reduced_reference(gb.elements, gb).elements == ref.elements
+        assert _reduced_reference(other.elements, other).elements == ref.elements
+        ambient = GradedFreeModule(base, F.twists)
+        for probe in _random_gens(rng, ambient, 4):
+            assert normal_form(probe, gb) == normal_form(probe, ref)
+            assert normal_form(probe, other) == normal_form(probe, ref)
+        # submodule_equal against comparing reduced bases
+        for gens2 in (
+            [vec_scale(g, base.field(2)) for g in reversed(gens)],
+            gens + _random_gens(rng, F, 1, max_deg=2),
+            gens[1:],
+        ):
+            gb2 = submodule_gb(gens2, F)
+            same = _reduced_reference(gb2.elements, gb2).elements == ref.elements
+            assert submodule_equal(gens, gens2, F) == same
+            agreed.add(same)
+    assert agreed == {True, False}
+
+
+def test_groebner_imports_nothing_from_linalg():
+    # the Betti oracle's linear algebra stays independent of the Groebner side
+    import ast
+    from pathlib import Path
+
+    import cmreg.groebner
+
+    tree = ast.parse(Path(cmreg.groebner.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any("linalg" in n.split(".") for n in names):
+            found.append(node.lineno)
+    assert not found
 
 
 def test_presentation_is_zero():
@@ -366,6 +503,6 @@ def test_char_zero_groebner():
     F = GradedFreeModule(R, (0,))
     gb = buchberger([(R.poly("2*x1^2"),), (R.poly("3*x1*x2"),)], F)
     assert normal_form((R.poly("x1^2*x2"),), gb)[0].is_zero()
-    # reduced monic basis has leading coefficient 1
+    # minimal monic basis has leading coefficient 1
     for g, (k, e, c) in zip(gb.elements, gb.leading_terms):
         assert c == QQ(1)
