@@ -15,8 +15,10 @@ so they come out reduced modulo the Koszul syzygies of z; an entry outside
 
 Each t~_j induces an operator chi_j : Ext^i_A(M, N) -> Ext^{i+2}_A(M, N)(-f_j)
 by precomposition; these commute with one another up to homotopy, hence
-exactly on Ext.  induced_on_ext computes chi_j on presentations and
-PresentationMap.equals_mod_relations decides equality of two such maps.
+exactly on Ext.  induced_on_ext computes chi_j on presentations, writing
+each image in the generators of Ext^{i+2} with the Elimination that ext_tor
+built to present it, and PresentationMap.equals_mod_relations decides
+equality of two such maps.
 """
 
 from __future__ import annotations
@@ -214,21 +216,16 @@ def induced_on_ext(
     )
     U = _block_map(t_A, N.cover, dual=True)
 
-    # rewrite each generator image in Ext^{i+2} coordinates: solve
-    # gens*x = U(z_s) modulo the boundaries inside the unshifted ambient
-    zmap2 = map_from_columns(
-        Ei2.presentation.generator_degrees, Ei2.ambient, Ei2.generators
-    )
-    elim = Elimination(zmap2, degree_cap, modulo=Ei2.boundaries)
+    # rewrite each generator image in the generators of Ext^{i+2} modulo
+    # its coboundaries, with the elimination that presented it
     out_cols = []
     for zvec in Ei.generators:
-        image = vec_reduce_entries(Ei2.ambient, U.apply(zvec))
-        x = elim.preimage(image)
+        x = Ei2.elimination.preimage(U.apply(zvec))
         if x is None:
             raise InternalConsistencyError(
                 "induced cocycle is not a cycle modulo coboundaries"
             )
-        out_cols.append(vec_reduce_entries(zmap2.source, x))
+        out_cols.append(vec_reduce_entries(Ei2.presentation.cover, x))
     cover_map = map_from_columns(source.cover.twists, target.cover, out_cols)
     return PresentationMap(source, target, cover_map)
 

@@ -190,10 +190,9 @@ def cmd_rho(args):
         I, N, candidates=_candidate_ideals(pf),
         n_max=args.nmax, degree_cap=degree_cap,
     )
-    witness = "unit" if bound.witness is None else repr(bound.witness)
     lines = [
         f"rho {bound.label}: {bound.value}",
-        f"witness {witness} stable from n={bound.certificate.witness}",
+        f"witness {bound.witness!r} stable from n={bound.certificate.witness}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

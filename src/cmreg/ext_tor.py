@@ -8,7 +8,14 @@ differential entries.  Tensor terms work the same way with T_i = +_k
 G(-a_ik) and untransposed blocks.  Cycles are the kernel of the outgoing
 differential modulo the coefficient-module relations (Elimination's modulo
 argument), and boundaries are the previous differential's columns plus
-those relations.
+those relations; they are cycles because d_i o d_{i+1} = 0 over A, which
+_homology checks by polynomial arithmetic before any Groebner work.
+
+to_presentation works modulo the boundaries throughout: the cover is a
+minimal generating set of Z modulo B, and the kernel of one Elimination
+modulo B, after a Nakayama pass, gives the relations.  That Elimination is
+kept on the result and writes any cycle in the cover (as ci_ops does for
+the CI operators).
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ from .freemod import (
     free_presentation,
     map_from_columns,
     vec_degree,
-    vec_is_zero,
-    vec_reduce_entries,
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -37,52 +42,37 @@ from .resolution import FreeResolution, resolve_over_A
 class SubquotientPresentation:
     """Z/B inside an ambient free module, with a derived presentation.
 
-    generators holds the chosen generating vectors of Z (minimal ones);
-    the presentation's cover basis corresponds to them in order.
+    generators holds the chosen vectors of Z, whose images minimally
+    generate Z/B; the presentation's cover basis corresponds to them in
+    order.  elimination is the Elimination of the generator map modulo B,
+    whose preimage(v) writes a cycle v in the generators modulo B; it is
+    None when Z/B is zero.
     """
 
-    def __init__(
-        self,
-        ambient: GradedFreeModule,
-        cycles: list,
-        boundaries: list,
-        generators: list,
-        presentation: ModulePresentation,
-    ):
+    def __init__(self, ambient, generators, presentation, elimination=None):
         self.ambient = ambient
-        self.cycles = cycles
-        self.boundaries = boundaries
         self.generators = generators
         self.presentation = presentation
+        self.elimination = elimination
 
 
 def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
-    """Present Z/B: minimal generators of Z become the cover, relations are
-    the B-coordinates plus the syzygies of the chosen generators."""
-    zmin = minimal_generators(cycles, ambient)
+    """Present (Z + B)/B, which is Z/B when B lies in Z, minimally: the
+    cover is a minimal generating set of Z modulo B, and the relations
+    minimally generate {x : gens*x in B}, the kernel of one Elimination
+    modulo B.  Both come from graded Nakayama, so the presentation has the
+    Betti numbers beta_0 and beta_1 of Z/B."""
+    zmin = minimal_generators(cycles, ambient, modulo=boundaries)
     if not zmin:
-        pres = free_presentation(ambient.ring, ())
-        return SubquotientPresentation(ambient, cycles, boundaries, [], pres)
+        return SubquotientPresentation(ambient, [], free_presentation(ambient.ring, ()))
     twists = tuple(vec_degree(ambient, v) for v in zmin)
     zmap = map_from_columns(twists, ambient, zmin)
-    elim = Elimination(zmap, degree_cap)
-    rel_cols = elim.kernel()
-    for b in boundaries:
-        b = vec_reduce_entries(ambient, b)
-        if vec_is_zero(b):
-            continue
-        coords = elim.preimage(b)
-        if coords is None:
-            raise InternalConsistencyError(
-                "boundary element is not a combination of the cycles"
-            )
-        coords = vec_reduce_entries(zmap.source, coords)
-        if not vec_is_zero(coords):
-            rel_cols.append(coords)
-    cover = GradedFreeModule(ambient.ring, twists)
+    elim = Elimination(zmap, degree_cap, modulo=boundaries)
+    cover = zmap.source
+    rel_cols = minimal_generators(elim.kernel(), cover)
     rel_twists = tuple(vec_degree(cover, c) for c in rel_cols)
     pres = ModulePresentation(map_from_columns(rel_twists, cover, rel_cols))
-    return SubquotientPresentation(ambient, cycles, boundaries, zmin, pres)
+    return SubquotientPresentation(ambient, zmin, pres, elim)
 
 
 # -- hom and tensor complexes --------------------------------------------------
@@ -144,6 +134,9 @@ def _homology(M, N, i, R, degree_cap, dual):
     if i > R.length:
         # the resolution stopped before i, so the module vanishes
         return to_presentation(GradedFreeModule(R.ring, ()), [], [], degree_cap)
+    if 1 <= i < R.length and not R.is_complex_at(i):
+        # the boundaries at T_i are cycles iff d_i o d_{i+1} = 0 over A
+        raise InternalConsistencyError(f"d_{i} o d_{i + 1} is not zero over the ring")
     G = N.cover
     psi_cols = N.relations.columns()
     Ti = _term(R.modules[i], G, dual)

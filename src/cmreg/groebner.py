@@ -13,7 +13,8 @@ outright, and within a position the ring's monomial order applies.
 Every basis comes from one degree-ordered Buchberger loop, whose heap holds
 the inputs as well as the S-pairs.  Its bases are minimal and monic but not
 tail-reduced, and they record which inputs entered; minimal_generators reads
-graded Nakayama off that record.
+graded Nakayama off that record, optionally modulo a submodule S (the same
+modulo as Elimination's).
 
 Kernels and preimages of a map phi come from one elimination basis:
 Elimination(phi) builds it once, and its kernel() and preimage(b) methods
@@ -258,25 +259,26 @@ def submodule_equal(gens1, gens2, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP) -
     )
 
 
-def minimal_generators(gens, F: GradedFreeModule):
-    """Subset of gens that minimally generates their span over F's ring.
+def minimal_generators(gens, F: GradedFreeModule, modulo=()):
+    """Subset of gens whose images minimally generate (span + S)/S over F's
+    ring, for the submodule S of F spanned by modulo (S = 0 by default).
 
     Graded Nakayama read off one uncapped buchberger run over Q on the
-    relation multiples followed by the entrywise normal forms of gens: a
-    generator of degree t enters the basis iff it is independent of the
-    positive-degree multiples of all generators plus the same-degree
-    generators already kept.  Relation multiples go first, so they are
-    never candidates.  Output sorted by descending degree (stable within a
-    degree).
+    relation multiples and the modulo vectors followed by the entrywise
+    normal forms of gens: a generator of degree t enters the basis iff it
+    is independent of S, the positive-degree multiples of all generators
+    and the same-degree generators already kept.  Relation multiples and
+    modulo vectors go first, so they are never candidates.  Output sorted
+    by descending degree (stable within a degree).
     """
     gens = [vec_reduce_entries(F, g) for g in gens]
     gens = [g for g in gens if not vec_is_zero(g)]
     if not gens:
         return []
-    rels = relation_vectors(F)
+    fixed = relation_vectors(F) + list(modulo)
     ambient = GradedFreeModule(F.base, F.twists)
-    gb = buchberger(rels + gens, ambient, cap=None)
-    kept = [gens[n - len(rels)] for n in gb.kept if n >= len(rels)]
+    gb = buchberger(fixed + gens, ambient, cap=None)
+    kept = [gens[n - len(fixed)] for n in gb.kept if n >= len(fixed)]
     kept.sort(key=lambda g: -vec_degree(F, g))
     return kept
 

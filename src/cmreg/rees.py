@@ -93,7 +93,7 @@ def power_module(
     psi = N.relations.columns()
     prods = _power_products(I, n)
     gens = scaled_basis(F, prods)
-    sub = to_presentation(F, gens + list(psi), list(psi), degree_cap)
+    sub = to_presentation(F, gens, psi, degree_cap)
     return sub.presentation
 
 

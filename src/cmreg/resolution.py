@@ -56,14 +56,13 @@ class FreeResolution:
     def twist_lists(self):
         return [list(F.twists) for F in self.modules]
 
+    def is_complex_at(self, l: int) -> bool:
+        """d(l) o d(l+1) = 0 over the ring, 1 <= l < length."""
+        comp = self.d(l).compose(self.d(l + 1))
+        return all(self.ring.normal_form(p).is_zero() for row in comp.matrix for p in row)
+
     def is_complex(self) -> bool:
-        for l in range(1, self.length):
-            comp = self.maps[l - 1].compose(self.maps[l])
-            for row in comp.matrix:
-                for p in row:
-                    if not self.ring.normal_form(p).is_zero():
-                        return False
-        return True
+        return all(self.is_complex_at(l) for l in range(1, self.length))
 
     def __repr__(self):
         ranks = " <- ".join(str(F.rank) for F in self.modules)

@@ -8,6 +8,7 @@ from helpers import (
     reduced_hypersurface_setup,
     two_relation_setup,
 )
+import cmreg.ci_ops
 from cmreg.ci_ops import (
     PresentationMap,
     eisenbud_operators,
@@ -155,3 +156,23 @@ def test_random_modules_where_cofactors_are_not_unique(seed):
                 assert T.identity_holds(l)
             if T.levels():
                 assert operators_commute(T, M, 0, 0, 1)
+
+
+def test_induced_on_ext_reuses_the_ext_elimination(monkeypatch):
+    # chi_j writes its images with the Elimination that presented Ext^{i+2}
+    # and builds none of its own
+    A, M, N, I = two_relation_setup()
+    T = _ops(M)
+    calls = []
+    real = cmreg.ci_ops.Elimination
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cmreg.ci_ops, "Elimination", counting)
+    for j in range(len(T.fs)):
+        for i in range(3):
+            chi = induced_on_ext(T, j, i, N)
+            assert chi.source.cover.rank and chi.target.cover.rank
+    assert calls == []

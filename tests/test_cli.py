@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,31 @@ def test_resolve_over_Q(tmp_path, capsys):
     assert main(["resolve", prob, "--module", "M", "--over", "Q"]) == 0
     out = capsys.readouterr().out
     assert "complete=True" in out
+
+
+CI3 = str(Path(__file__).parents[1] / "perfbench" / "problems" / "ci3.prob")
+
+
+def test_ext_and_tor_print_minimal_presentations(capsys):
+    # on ci3.prob every Ext and Tor module of A/(x1,x3) against A/(x2) is
+    # presented with its minimal generators and minimal relations
+    expected = {
+        "ext": ["[1] relations 3", "[0,0] relations 6", "[-1] relations 3", "[-2] relations 3"],
+        "tor": ["[0] relations 3", "[2] relations 3", "[3] relations 3", "[4] relations 3"],
+    }
+    regs = {"ext": [1, 0, -1, -2], "tor": [0, 2, 3, 4]}
+    for which, lines in expected.items():
+        for i, line in enumerate(lines):
+            argv = [which, CI3, "--module", "M", "--coeff", "N", "--index", str(i)]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == f"{which}^{i} generators {line}\nreg {regs[which][i]}\n"
+
+
+def test_vanishing_ext_prints_no_generators(tmp_path, capsys):
+    prob = _write(tmp_path, "red.prob", REDUCED)
+    assert main(["ext", prob, "--module", "M", "--coeff", "N", "--index", "0"]) == 0
+    assert capsys.readouterr().out == "ext^0 generators [] relations 0\nreg -inf\n"
 
 
 def test_ext_and_tor_commands(tmp_path, capsys):

@@ -14,11 +14,15 @@ from helpers import (
     vec_sub,
 )
 import cmreg.ext_tor
-from cmreg.ext_tor import ext, to_presentation, tor
+from cmreg.cli import main
+from cmreg.errors import InternalConsistencyError
+from cmreg.ext_tor import SubquotientPresentation, ext, to_presentation, tor
 from cmreg.fields import GF32003
 from cmreg.freemod import (
     NEG_INF,
     GradedFreeModule,
+    GradedMap,
+    ModulePresentation,
     basis_vector,
     free_presentation,
     map_from_columns,
@@ -27,18 +31,26 @@ from cmreg.freemod import (
     vec_is_zero,
     vec_mul_poly,
     vec_reduce_entries,
+    vec_scale,
 )
 from cmreg.groebner import (
     DEFAULT_DEGREE_CAP,
     Elimination,
     kernel,
+    minimal_generators,
     submodule_contains,
     submodule_equal,
     submodule_gb,
 )
 from cmreg.rees import power_module, quotient_module
 from cmreg.regularity import betti_oracle, present_over_Q, regularity
-from cmreg.resolution import betti_table, resolve_over_A, resolve_over_Q
+from cmreg.resolution import (
+    FreeResolution,
+    betti_table,
+    minimal_presentation,
+    resolve_over_A,
+    resolve_over_Q,
+)
 from cmreg.rings import PolyRing, QuotientRing
 
 
@@ -150,8 +162,7 @@ def test_ext_cells_match_the_betti_oracle(setup):
 
 
 def test_to_presentation_builds_one_elimination_basis(monkeypatch):
-    # the kernel of the generator map and the preimage of every boundary
-    # share one elimination basis
+    # one elimination basis modulo the boundaries gives every relation
     Q = PolyRing(2, GF32003)
     A = QuotientRing(Q, [Q.poly("x1*x2")])
     F = GradedFreeModule(A, (0,))
@@ -167,7 +178,131 @@ def test_to_presentation_builds_one_elimination_basis(monkeypatch):
     sub = to_presentation(F, [(Q.one,), (x1,)], [(x1,), (x2,), (x1 * x2,)])
     assert len(calls) == 1
     assert sub.generators == [(Q.one,)]
-    assert sub.presentation.relations.columns() == [(x1,), (x2,)]
+    cover = sub.presentation.cover
+    assert submodule_equal(sub.presentation.relations.columns(), [(x1,), (x2,)], cover)
+    # e2 is a minimal generator of Z = F that lies in B, so Z/B = A/(x1)
+    # is covered by e1 alone
+    F2 = GradedFreeModule(A, (0, 0))
+    e1, e2 = basis_vector(F2, 0), basis_vector(F2, 1)
+    sub = to_presentation(F2, [e1, e2], [e2, vec_mul_poly(e1, x1)])
+    assert len(calls) == 2
+    assert sub.generators == [e1]
+    cover = sub.presentation.cover
+    assert submodule_equal(sub.presentation.relations.columns(), [(x1,)], cover)
+
+
+def _to_presentation_with_preimages(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
+    """The former to_presentation, kept as a reference: the minimal
+    generators of Z alone are the cover, and the relations are the kernel
+    of the generator map plus one preimage per boundary."""
+    zmin = minimal_generators(cycles, ambient)
+    if not zmin:
+        return SubquotientPresentation(ambient, [], free_presentation(ambient.ring, ()))
+    twists = tuple(vec_degree(ambient, v) for v in zmin)
+    zmap = map_from_columns(twists, ambient, zmin)
+    elim = Elimination(zmap, degree_cap)
+    rel_cols = elim.kernel()
+    for b in boundaries:
+        b = vec_reduce_entries(ambient, b)
+        if vec_is_zero(b):
+            continue
+        coords = elim.preimage(b)
+        assert coords is not None, "boundary element is not a combination of the cycles"
+        coords = vec_reduce_entries(zmap.source, coords)
+        if not vec_is_zero(coords):
+            rel_cols.append(coords)
+    rel_twists = tuple(vec_degree(zmap.source, c) for c in rel_cols)
+    pres = ModulePresentation(map_from_columns(rel_twists, zmap.source, rel_cols))
+    return SubquotientPresentation(ambient, zmin, pres)
+
+
+def _assert_same_module_no_larger(new, old, window=range(-10, 8)):
+    """new presents the module old does, with no more generators or
+    relations, and is minimal: minimal_presentation keeps its cover twists
+    and all of its relations."""
+    assert [presentation_hilbert(new, t) for t in window] == [
+        presentation_hilbert(old, t) for t in window
+    ]
+    assert new.cover.rank <= old.cover.rank
+    assert new.relations.source.rank <= old.relations.source.rank
+    pruned = minimal_presentation(new)
+    assert pruned.generator_degrees == new.generator_degrees
+    assert pruned.relations.source.rank == new.relations.source.rank
+    assert regularity(new) == regularity(old)
+
+
+@pytest.mark.parametrize(
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup]
+)
+def test_to_presentation_matches_the_preimage_reference(seed, setup):
+    # seeded subquotients Z/B of a random module's cover: B holds the
+    # module's relations and a multiple of one generator of Z, in every
+    # other trial a scalar one, so that this generator lies in B
+    ring = setup()[0]
+    rng = random.Random(seed)
+    smaller = 0
+    for trial in range(8):
+        N = random_presentation(rng, ring)
+        F, psi = N.cover, N.relations.columns()
+        gens = _random_vectors(rng, F, rng.randint(1, 3), min(F.twists))
+        if not gens:
+            continue
+        if trial % 2:
+            extra = vec_mul_poly(gens[0], random_poly(rng, ring, 1))
+        else:
+            extra = vec_scale(gens[0], ring.base.field(rng.randint(1, 3)))
+        boundaries = psi + ([] if vec_is_zero(extra) else [extra])
+        cycles = gens + boundaries
+        new = to_presentation(F, cycles, boundaries).presentation
+        old = _to_presentation_with_preimages(F, cycles, boundaries).presentation
+        _assert_same_module_no_larger(new, old)
+        smaller += new.cover.rank < old.cover.rank
+    assert smaller > 0
+
+
+def test_ext_matches_the_preimage_reference_on_random_ci_modules(seed, monkeypatch):
+    # 12 seeded module pairs over A = K[x1,x2,x3]/(x1^2, x2^2 - x1*x3),
+    # Ext^0..Ext^2: the same modules as with the former to_presentation,
+    # never with more generators or relations
+    Q = PolyRing(3, GF32003)
+    A = QuotientRing(Q, [Q.poly("x1^2"), Q.poly("x2^2 - x1*x3")])
+    rng = random.Random(seed)
+    for pair in range(12):
+        M = random_presentation(rng, A, max_deg=2)
+        N = random_presentation(rng, A, max_deg=2)
+        R = resolve_over_A(M, cap=3)
+        for i in range(3):
+            new = ext(M, N, i, resolution=R).presentation
+            with monkeypatch.context() as mp:
+                mp.setattr(cmreg.ext_tor, "to_presentation", _to_presentation_with_preimages)
+                old = ext(M, N, i, resolution=R).presentation
+            _assert_same_module_no_larger(new, old)
+
+
+def test_ext_rejects_a_resolution_that_is_not_a_complex(tmp_path, monkeypatch, capsys):
+    # d_1 = (x2) and d_2 = (x1) over K[x1,x2]/(x1^2, x2^3): d_1 d_2 = x1*x2,
+    # so the boundaries at index 1 are not cycles
+    A, M, N, I = two_relation_setup()
+    F = [GradedFreeModule(A, (t,)) for t in range(3)]
+    d1 = GradedMap(F[1], F[0], [[A.poly("x2")]])
+    d2 = GradedMap(F[2], F[1], [[A.poly("x1")]])
+    R = FreeResolution(A, F, [d1, d2])
+    assert R.is_complex_at(1) is False
+    for fn in (ext, tor):
+        with pytest.raises(InternalConsistencyError):
+            fn(M, N, 1, resolution=R)
+        fn(M, N, 0, resolution=R)  # level 0 has no boundaries from d_1 d_2
+    prob = tmp_path / "two.prob"
+    prob.write_text(
+        "ring d=2 char=32003\nquotient: x1^2; x2^3\n"
+        "module M: targets [0]; relations [[x2]]\n"
+    )
+    monkeypatch.setattr(cmreg.ext_tor, "resolve_over_A", lambda *a, **k: R)
+    argv = [str(prob), "--module", "M", "--coeff", "M", "--index", "1"]
+    assert main(["ext"] + argv) == 4
+    assert main(["tor"] + argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("cmreg: internal consistency:") for e in err)
 
 
 def _stacked_kernel(delta, extra_cols, cap=DEFAULT_DEGREE_CAP):

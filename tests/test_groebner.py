@@ -227,9 +227,10 @@ def test_minimal_generators_nakayama(seed):
         assert degs == sorted(degs, reverse=True)
 
 
-def _minimal_generators_full_rref(gens, F):
-    """Reference: the same graded Nakayama selection, with a fresh RREF of
-    everything kept so far for each candidate."""
+def _minimal_generators_full_rref(gens, F, modulo=()):
+    """Reference: the same graded Nakayama selection modulo the span of
+    modulo, with a fresh RREF of everything kept so far for each
+    candidate."""
     field = F.base.field
     gens = [vec_reduce_entries(F, g) for g in gens]
     gens = [g for g in gens if not vec_is_zero(g)]
@@ -237,7 +238,8 @@ def _minimal_generators_full_rref(gens, F):
     selected = []
     for t in sorted(set(degs)):
         basis = piece_basis(F, t)
-        rows = span_matrix(F, [g for g, d in zip(gens, degs) if d < t], t, basis)
+        lower = [g for g, d in zip(gens, degs) if d < t]
+        rows = span_matrix(F, lower + list(modulo), t, basis)
         for g, d in zip(gens, degs):
             if d != t:
                 continue
@@ -280,7 +282,10 @@ def test_minimal_generators_matches_full_rref_reference(seed, field, quotient):
     rng = random.Random(seed)
     ring = _quotient_ring(field) if quotient else PolyRing(2, field)
     F = GradedFreeModule(ring, (0, 1))
-    dropped = 0
+    # modulo sets come from their own stream: random vectors and a scalar
+    # multiple of one generator, so that generator is never kept
+    mod_rng = random.Random(seed + 1)
+    dropped = dropped_modulo = 0
     for trial in range(10):
         gens = _redundant_gens(rng, F, 4)
         if not gens:
@@ -288,7 +293,12 @@ def test_minimal_generators_matches_full_rref_reference(seed, field, quotient):
         expected = _minimal_generators_full_rref(gens, F)
         assert minimal_generators(gens, F) == expected
         dropped += len(gens) - len(expected)
-    assert dropped > 0
+        one = vec_scale(mod_rng.choice(gens), F.base.field(mod_rng.randint(1, 3)))
+        modulo = _random_gens(mod_rng, F, 2) + [one]
+        expected_modulo = _minimal_generators_full_rref(gens, F, modulo)
+        assert minimal_generators(gens, F, modulo) == expected_modulo
+        dropped_modulo += len(expected) - len(expected_modulo)
+    assert dropped > 0 and dropped_modulo > 0
 
 
 @pytest.mark.parametrize("quotient", [False, True], ids=["poly", "quotient"])
