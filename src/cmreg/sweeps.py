@@ -7,9 +7,15 @@ only "statistics" is detecting when consecutive differences stabilize.
 
 A sweep resolves M once, to homological degree 2*i_max + 2: every requested
 Ext index has the syzygy module it needs, and a longer resolution would only
-compute kernels no cell reads.  It builds each coefficient module once and
-then fills cells independently.  Cells hit by a degree cap are recorded with
-the CAP marker and the run continues.
+compute kernels no cell reads.  It builds each coefficient module C once per
+(variant, n).  A C equal (==) to one built earlier copies that column's cells
+and computes no Ext; an Ext presentation equal to one seen earlier in the
+sweep copies that cell's value and computes no regularity.
+
+A degree cap hit while computing a cell's Ext or its regularity records the
+CAP marker in that cell (and in every cell that copies it) and the run
+continues.  A cap hit while resolving M or building a power module I^n N
+aborts the whole sweep with DegreeCapExceeded (exit 2 from the CLI).
 """
 
 from __future__ import annotations
@@ -110,18 +116,33 @@ def sweep(
     R = resolve_over_A(M, cap=hom_cap, degree_cap=degree_cap)
 
     cells = {}
+    columns = []  # (C, its value at each Ext index) per distinct C so far
+    regs = []  # (Ext presentation, its value) per distinct Ext so far
     for variant in variants:
         for n in range(n_max + 1):
             if variant == "power":
                 C = power_module(I, n, N, degree_cap=degree_cap)
             else:
                 C = quotient_module(N, I, n)
-            for idx in range(2 * i_max + 2):
-                try:
-                    E = ext(M, C, idx, resolution=R, degree_cap=degree_cap)
-                    value = regularity(E.presentation, degree_cap=degree_cap)
-                except DegreeCapExceeded:
-                    value = CAP
+            values = next((vals for D, vals in columns if D == C), None)
+            if values is None:
+                values = []
+                for idx in range(2 * i_max + 2):
+                    try:
+                        E = ext(M, C, idx, resolution=R, degree_cap=degree_cap)
+                    except DegreeCapExceeded:
+                        values.append(CAP)
+                        continue
+                    value = next((v for P, v in regs if P == E.presentation), None)
+                    if value is None:
+                        try:
+                            value = regularity(E.presentation, degree_cap=degree_cap)
+                        except DegreeCapExceeded:
+                            value = CAP
+                        regs.append((E.presentation, value))
+                    values.append(value)
+                columns.append((C, values))
+            for idx, value in enumerate(values):
                 cells[(variant, PARITY_NAMES[idx % 2], idx // 2, n)] = value
 
     metadata = {

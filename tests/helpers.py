@@ -4,6 +4,7 @@ modules."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from cmreg.fields import GF32003
 from cmreg.freemod import (
@@ -14,6 +15,7 @@ from cmreg.freemod import (
     piece_basis,
     vec_reduce_entries,
 )
+from cmreg.problemfile import parse_problem
 from cmreg.rees import IdealData, unit_ideal
 from cmreg.rings import PolyRing, QuotientRing
 
@@ -61,6 +63,16 @@ def reduced_hypersurface_setup(field=GF32003):
     )
     I = IdealData(A, [A.poly("x1")])
     return A, M, N, I
+
+
+CI3_PROBLEM = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "ci3.prob"
+
+
+def ci3_setup():
+    """The benchmark's ci3.prob: A = K[x1,x2,x3]/(x1^2, x2^2 - x1*x3),
+    M = A/(x1,x3), N = A/(x2), I = (x2,x3)."""
+    pf = parse_problem(CI3_PROBLEM.read_text())
+    return pf.ring, pf.module("M"), pf.module("N"), pf.ideal("I")
 
 
 def vec_sub(u, v):

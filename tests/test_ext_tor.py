@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import (
+    ci3_setup,
     cyclic_quotient,
     hypersurface_setup,
     random_poly,
@@ -138,6 +139,28 @@ def test_ext_target_shift():
         for i in range(3):
             base = _reg(ext(M, N, i))
             assert _reg(ext(M, N.shift(a), i)) == base - a
+
+
+@pytest.mark.parametrize(
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup]
+)
+def test_ext_source_shift(setup, seed):
+    # Ext^i(M(a), N) = Ext^i(M, N)(-a) as presentations, so the regularity
+    # moves by +a: the setup's modules in both orders, then seeded ones
+    A, M, N, I = setup()
+    rng = random.Random(seed)
+    pairs = [(M, N), (N, M)] + [
+        (random_presentation(rng, A, max_deg=2), random_presentation(rng, A, max_deg=2))
+        for _ in range(3)
+    ]
+    for M, N in pairs:
+        for i in range(4):
+            base = ext(M, N, i).presentation
+            reg = regularity(base)
+            for a in (-2, 3):
+                shifted = ext(M.shift(a), N, i).presentation
+                assert shifted == base.shift(-a)
+                assert regularity(shifted) == reg + a
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,31 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from helpers import (
+    ci3_setup,
     cyclic_quotient,
     hypersurface_setup,
+    random_presentation,
     reduced_hypersurface_setup,
     two_relation_setup,
 )
+import cmreg.sweeps
+from cmreg.errors import DegreeCapExceeded
+from cmreg.ext_tor import ext
 from cmreg.fields import GF32003, QQ, PrimeField
 from cmreg.freemod import NEG_INF
-from cmreg.rees import rho_upper
+from cmreg.groebner import DEFAULT_DEGREE_CAP
+from cmreg.rees import IdealData, power_module, quotient_module, rho_upper
+from cmreg.regularity import regularity
+from cmreg.resolution import resolve_over_A
 from cmreg.rings import PolyRing, QuotientRing
 from cmreg.sweeps import (
     CAP,
     GRID_LIMITATION_NOTE,
+    PARITY_NAMES,
     VARIANTS,
     ExtRegTable,
     fit_asymptote,
@@ -23,6 +34,118 @@ from cmreg.sweeps import (
     sweep,
     verify_bounds,
 )
+
+
+def _sweep_cell_by_cell(M, N, I, i_max, n_max, variants, degree_cap=DEFAULT_DEGREE_CAP):
+    """Reference for sweep: ext and regularity afresh for every cell, with no
+    reuse of an equal coefficient module or an equal Ext presentation."""
+    R = resolve_over_A(M, cap=2 * i_max + 2, degree_cap=degree_cap)
+    cells = {}
+    for variant in variants:
+        for n in range(n_max + 1):
+            if variant == "power":
+                C = power_module(I, n, N, degree_cap=degree_cap)
+            else:
+                C = quotient_module(N, I, n)
+            for idx in range(2 * i_max + 2):
+                try:
+                    E = ext(M, C, idx, resolution=R, degree_cap=degree_cap)
+                    value = regularity(E.presentation, degree_cap=degree_cap)
+                except DegreeCapExceeded:
+                    value = CAP
+                cells[(variant, PARITY_NAMES[idx % 2], idx // 2, n)] = value
+    ring = M.ring
+    metadata = {
+        "field": repr(ring.field),
+        "degree_cap": degree_cap,
+        "homological_cap": 2 * i_max + 2,
+        "f": min(ring.f_degrees),
+        "f_degrees": list(ring.f_degrees),
+        "variants": list(variants),
+    }
+    return ExtRegTable(i_max, n_max, tuple(variants), cells, metadata)
+
+
+def _counting(monkeypatch, name):
+    """Wrap cmreg.sweeps.<name> so that every call's result is recorded."""
+    results = []
+    inner = getattr(cmreg.sweeps, name)
+
+    def wrapper(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(cmreg.sweeps, name, wrapper)
+    return results
+
+
+@pytest.mark.parametrize(
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup]
+)
+def test_sweep_matches_the_cell_by_cell_reference(setup, seed):
+    # the setup's own grid, then seeded modules against I = (x1): those give
+    # Ext presentations that share a cover but not their relations, so a
+    # reused regularity must match the whole presentation
+    A, M, N, I = setup()
+    rng = random.Random(seed)
+    cases = [(M, N, I, 2, 3)] + [
+        (
+            random_presentation(rng, A, max_deg=2),
+            random_presentation(rng, A, max_deg=2),
+            IdealData(A, [A.poly("x1")]),
+            1,
+            2,
+        )
+        for _ in range(4)
+    ]
+    for M, N, I, i_max, n_max in cases:
+        T = sweep(M, N, I, i_max=i_max, n_max=n_max, variants=VARIANTS)
+        ref = _sweep_cell_by_cell(M, N, I, i_max=i_max, n_max=n_max, variants=VARIANTS)
+        assert T.cells == ref.cells
+        assert T.metadata == ref.metadata
+
+
+def test_sweep_copies_cap_cells_like_the_reference():
+    # ci3.prob at degree cap 6: exactly two cells hit the cap, power/odd and
+    # quotient/even at n = 5, and the rest of the grid is finite or -inf
+    A, M, N, I = ci3_setup()
+    args = dict(i_max=0, n_max=5, variants=VARIANTS, degree_cap=6)
+    T = sweep(M, N, I, **args)
+    ref = _sweep_cell_by_cell(M, N, I, **args)
+    assert T.cells == ref.cells
+    assert T.metadata == ref.metadata
+    assert sorted(k for k, v in T.cells.items() if v == CAP) == [
+        ("power", "odd", 0, 5),
+        ("quotient", "even", 0, 5),
+    ]
+
+
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_sweep_runs_ext_once_per_distinct_coefficient_module(monkeypatch, n_max):
+    # I is the unit ideal, so I^n N = N for every n: one column of Ext
+    # modules serves the whole grid
+    A, M, N, I = hypersurface_setup()
+    exts = _counting(monkeypatch, "ext")
+    regs = _counting(monkeypatch, "regularity")
+    T = sweep(M, N, I, i_max=2, n_max=n_max)
+    assert len(exts) == 2 * 2 + 2
+    assert len(regs) == len(exts)
+    assert len(T.cells) == 6 * (n_max + 1)
+
+
+def test_sweep_runs_regularity_once_per_distinct_ext(monkeypatch):
+    A, M, N, I = reduced_hypersurface_setup()
+    exts = _counting(monkeypatch, "ext")
+    regs = _counting(monkeypatch, "regularity")
+    sweep(M, N, I, i_max=2, n_max=3, variants=VARIANTS)
+    distinct = []
+    for E in exts:
+        if E.presentation not in distinct:
+            distinct.append(E.presentation)
+    # no two coefficient modules are equal here, so every cell runs ext
+    assert len(exts) == 2 * 6 * 4
+    assert len(regs) == len(distinct) < len(exts)
 
 
 def test_sweep_hypersurface_grid():
