@@ -56,6 +56,15 @@ class FreeResolution:
     def twist_lists(self):
         return [list(F.twists) for F in self.modules]
 
+    def repeats(self, k: int):
+        """s > 0 when d(k) == d(k-2).shift(s) and d(k+1) == d(k-1).shift(s);
+        None for k < 3, past the computed length and where F_k has rank 0."""
+        if k < 3 or k + 1 > self.length or not self.modules[k].rank:
+            return None
+        s = self.modules[k].twists[0] - self.modules[k - 2].twists[0]
+        same = all(self.d(l) == self.d(l - 2).shift(s) for l in (k, k + 1))
+        return s if s > 0 and same else None
+
     def is_complex_at(self, l: int) -> bool:
         """d(l) o d(l+1) = 0 over the ring, 1 <= l < length."""
         comp = self.d(l).compose(self.d(l + 1))

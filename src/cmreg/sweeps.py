@@ -10,7 +10,11 @@ Ext index has the syzygy module it needs, and a longer resolution would only
 compute kernels no cell reads.  It builds each coefficient module C once per
 (variant, n).  A C equal (==) to one built earlier copies that column's cells
 and computes no Ext; an Ext presentation equal to one seen earlier in the
-sweep copies that cell's value and computes no regularity.
+sweep copies that cell's value and computes no regularity.  Where the
+resolution repeats (d_k, d_{k+1} are d_{k-2}, d_{k-1} shifted up by s > 0:
+FreeResolution.repeats), Ext^k is Ext^{k-2} twisted down by s, and index k
+takes the value at k - 2 minus s: every degree its Ext would reach is s below
+one that finished under the absolute cap.  A CAP at k - 2 is not copied.
 
 A degree cap hit while computing a cell's Ext or its regularity records the
 CAP marker in that cell (and in every cell that copies it) and the run
@@ -114,6 +118,7 @@ def sweep(
         raise ValueError("sweep expects modules over A = Q/(z) with z nonempty")
     hom_cap = 2 * i_max + 2
     R = resolve_over_A(M, cap=hom_cap, degree_cap=degree_cap)
+    shifts = [R.repeats(idx) for idx in range(hom_cap)]
 
     cells = {}
     columns = []  # (C, its value at each Ext index) per distinct C so far
@@ -127,7 +132,10 @@ def sweep(
             values = next((vals for D, vals in columns if D == C), None)
             if values is None:
                 values = []
-                for idx in range(2 * i_max + 2):
+                for idx, s in enumerate(shifts):
+                    if s is not None and values[idx - 2] != CAP:
+                        values.append(values[idx - 2] - s)
+                        continue
                     try:
                         E = ext(M, C, idx, resolution=R, degree_cap=degree_cap)
                     except DegreeCapExceeded:

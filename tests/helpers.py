@@ -65,13 +65,26 @@ def reduced_hypersurface_setup(field=GF32003):
     return A, M, N, I
 
 
-CI3_PROBLEM = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "ci3.prob"
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+
+#: the variants the benchmark's `verify` sweeps on each shipped problem file
+PROBLEM_VARIANTS = {
+    "hypersurface": ("power",),
+    "two_relation": ("power",),
+    "reduced_hypersurface": ("power", "quotient"),
+    "ci3": ("power",),
+}
+
+
+def problem_file(name):
+    """perfbench/problems/<name>.prob, parsed (the file is only read)."""
+    return parse_problem((PROBLEMS / f"{name}.prob").read_text())
 
 
 def ci3_setup():
     """The benchmark's ci3.prob: A = K[x1,x2,x3]/(x1^2, x2^2 - x1*x3),
     M = A/(x1,x3), N = A/(x2), I = (x2,x3)."""
-    pf = parse_problem(CI3_PROBLEM.read_text())
+    pf = problem_file("ci3")
     return pf.ring, pf.module("M"), pf.module("N"), pf.ideal("I")
 
 

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from helpers import (
+    PROBLEM_VARIANTS,
     ci3_setup,
     cyclic_quotient,
     hypersurface_setup,
+    problem_file,
     random_poly,
     random_presentation,
     reduced_hypersurface_setup,
@@ -161,6 +163,26 @@ def test_ext_source_shift(setup, seed):
                 shifted = ext(M.shift(a), N, i).presentation
                 assert shifted == base.shift(-a)
                 assert regularity(shifted) == reg + a
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_VARIANTS))
+def test_ext_repeats_along_a_periodic_resolution(name):
+    # where d_k, d_{k+1} are d_{k-2}, d_{k-1} twisted by s, Ext^k is Ext^{k-2}
+    # twisted down by s, as presentations: the sweep's grid on each shipped
+    # problem file for n <= 2, every variant the benchmark sweeps there
+    pf = problem_file(name)
+    M, N, I = pf.module("M"), pf.module("N"), pf.ideal("I")
+    R = resolve_over_A(M, cap=2 * pf.params["imax"] + 2)
+    window = [(k, s) for k in range(R.length) if (s := R.repeats(k))]
+    assert window
+    for n in range(3):
+        for variant in PROBLEM_VARIANTS[name]:
+            C = power_module(I, n, N) if variant == "power" else quotient_module(N, I, n)
+            for k, s in window:
+                E = ext(M, C, k, resolution=R).presentation
+                before = ext(M, C, k - 2, resolution=R).presentation
+                assert E == before.shift(s)
+                assert regularity(E) == regularity(before) - s
 
 
 @pytest.mark.parametrize(

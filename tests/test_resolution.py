@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from helpers import cyclic_quotient, random_presentation
+from helpers import cyclic_quotient, problem_file, random_presentation
 from cmreg import resolution
 from cmreg.errors import InternalConsistencyError
 from cmreg.fields import GF32003
 from cmreg.freemod import (
     NEG_INF,
+    GradedFreeModule,
+    GradedMap,
     basis_vector,
     free_presentation,
     map_from_columns,
@@ -19,6 +21,7 @@ from cmreg.freemod import (
 from cmreg.regularity import betti_oracle, regularity
 from cmreg.resolution import (
     BettiTable,
+    FreeResolution,
     betti_table,
     minimal_presentation,
     minimize,
@@ -145,6 +148,38 @@ def test_resolve_over_A_hypersurface_periodicity():
     x = A.poly("x1")
     for l in range(1, 7):
         assert R.d(l).matrix[0][0] == x
+
+
+@pytest.mark.parametrize(
+    "name, start, s",
+    [("hypersurface", 3, 2), ("two_relation", 3, 3), ("reduced_hypersurface", 3, 2), ("ci3", 5, 2)],
+)
+def test_repeats_on_the_shipped_problems(name, start, s):
+    # the resolutions the sweep builds: periodic with shift s from index
+    # start on, and no answer below it or past the computed length
+    pf = problem_file(name)
+    R = resolve_over_A(pf.module("M"), cap=2 * pf.params["imax"] + 2)
+    assert not R.complete
+    assert [R.repeats(k) for k in range(R.length + 3)] == (
+        [None] * start + [s] * (R.length - start) + [None] * 3
+    )
+    for k in range(start, R.length):
+        assert R.d(k) == R.d(k - 2).shift(s)
+
+
+def test_repeats_is_none_on_a_rank_zero_or_complete_tail():
+    Q = PolyRing(2, GF32003)
+    A = QuotientRing(Q, [Q.poly("x1*x2")])
+    R = resolve_over_A(free_presentation(A, (0, 2)), cap=5)
+    assert [R.repeats(k) for k in range(6)] == [None] * 6
+    # A/(x1) over A = K[x1, x2]/(x1*x2) is 2-periodic with shift 2: cut at
+    # length 4, index 3 still has d_4, index 4 has no d_5
+    R = resolve_over_A(cyclic_quotient(A, ["x1"]), cap=4)
+    assert [R.repeats(k) for k in range(6)] == [None] * 3 + [2] + [None] * 2
+    # a hand-built complex with F_3 = 0 inside its length gives no shift
+    F, Z = GradedFreeModule(A, (0,)), GradedFreeModule(A, ())
+    zero = [GradedMap(Z, F, [[]])] + [GradedMap(Z, Z, [])] * 3
+    assert FreeResolution(A, [F] + [Z] * 4, zero).repeats(3) is None
 
 
 def test_resolve_over_A_finite_case_terminates():

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from helpers import (
+    PROBLEM_VARIANTS,
+    PROBLEMS,
     ci3_setup,
     cyclic_quotient,
     hypersurface_setup,
@@ -13,6 +15,7 @@ from helpers import (
     two_relation_setup,
 )
 import cmreg.sweeps
+from cmreg.cli import main
 from cmreg.errors import DegreeCapExceeded
 from cmreg.ext_tor import ext
 from cmreg.fields import GF32003, QQ, PrimeField
@@ -124,12 +127,13 @@ def test_sweep_copies_cap_cells_like_the_reference():
 @pytest.mark.parametrize("n_max", [0, 3])
 def test_sweep_runs_ext_once_per_distinct_coefficient_module(monkeypatch, n_max):
     # I is the unit ideal, so I^n N = N for every n: one column of Ext
-    # modules serves the whole grid
+    # modules serves the whole grid, and in that column indices 3..5 copy
+    # from k - 2 (the resolution of A/(x) over K[x]/(x^2) repeats with s = 2)
     A, M, N, I = hypersurface_setup()
     exts = _counting(monkeypatch, "ext")
     regs = _counting(monkeypatch, "regularity")
     T = sweep(M, N, I, i_max=2, n_max=n_max)
-    assert len(exts) == 2 * 2 + 2
+    assert len(exts) == 3
     assert len(regs) == len(exts)
     assert len(T.cells) == 6 * (n_max + 1)
 
@@ -143,9 +147,80 @@ def test_sweep_runs_regularity_once_per_distinct_ext(monkeypatch):
     for E in exts:
         if E.presentation not in distinct:
             distinct.append(E.presentation)
-    # no two coefficient modules are equal here, so every cell runs ext
-    assert len(exts) == 2 * 6 * 4
+    # no two coefficient modules are equal here, so every cell below the
+    # periodic window (indices 0..2 of 0..5) runs ext
+    assert len(exts) == 2 * 3 * 4
     assert len(regs) == len(distinct) < len(exts)
+
+
+def test_sweep_copies_the_periodic_window_on_ci3():
+    # codimension 2, rank-2 modules: the resolution of M repeats from
+    # index 5 on, so the odd cells at i = 2, 3 and the even one at i = 3 copy
+    A, M, N, I = ci3_setup()
+    T = sweep(M, N, I, i_max=3, n_max=1, variants=VARIANTS)
+    ref = _sweep_cell_by_cell(M, N, I, i_max=3, n_max=1, variants=VARIANTS)
+    assert T.cells == ref.cells
+    assert T.metadata == ref.metadata
+
+
+def test_sweep_without_a_periodic_window_matches_the_reference():
+    # a seeded module over the ci3 ring whose resolution ranks grow: nothing
+    # repeats, so every index runs ext as before
+    A, _, N, I = ci3_setup()
+    M = random_presentation(random.Random(6), A, max_rels=3, max_deg=2)
+    R = resolve_over_A(M, cap=6)
+    ranks = [F.rank for F in R.modules]
+    assert len(ranks) == 7 and all(a < b for a, b in zip(ranks, ranks[1:]))
+    assert [R.repeats(k) for k in range(6)] == [None] * 6
+    T = sweep(M, N, I, i_max=2, n_max=1, variants=VARIANTS)
+    ref = _sweep_cell_by_cell(M, N, I, i_max=2, n_max=1, variants=VARIANTS)
+    assert T.cells == ref.cells
+
+
+def test_sweep_recomputes_an_index_whose_copy_source_is_cap(monkeypatch):
+    # a cap at index 1 must not be copied to index 3: index 3 runs ext and
+    # matches the reference, and index 5 copies index 3
+    A, M, N, I = hypersurface_setup()
+    ref = _sweep_cell_by_cell(M, N, I, i_max=2, n_max=0, variants=("power",))
+    indices = []
+    inner = cmreg.sweeps.ext
+
+    def capped(M, C, idx, **kwargs):
+        indices.append(idx)
+        if idx == 1:
+            raise DegreeCapExceeded("forced", degree=0, cap=0)
+        return inner(M, C, idx, **kwargs)
+
+    monkeypatch.setattr(cmreg.sweeps, "ext", capped)
+    T = sweep(M, N, I, i_max=2, n_max=0)
+    assert indices == [0, 1, 2, 3]
+    assert T.cell("power", "odd", 0, 0) == CAP
+    assert T.cell("power", "odd", 1, 0) == ref.cell("power", "odd", 1, 0)
+    assert [k for k, v in T.cells.items() if v != ref.cells[k]] == [("power", "odd", 0, 0)]
+
+
+@pytest.mark.parametrize(
+    "name, exts, regs",
+    [
+        ("hypersurface", 3, 3),
+        ("two_relation", 3, 3),
+        ("reduced_hypersurface", 54, 11),
+        ("ci3", 20, 8),
+    ],
+)
+def test_verify_call_counts_on_the_shipped_problems(monkeypatch, tmp_path, name, exts, regs):
+    # `cmreg verify` with the benchmark's argv: every index from the first
+    # periodic one on copies k - 2, so ext runs only below that window
+    variants = PROBLEM_VARIANTS[name]
+    ext_calls = _counting(monkeypatch, "ext")
+    reg_calls = _counting(monkeypatch, "regularity")
+    argv = [
+        "verify", str(PROBLEMS / f"{name}.prob"), "--module", "M", "--coeff", "N",
+        "--ideal", "I", "--variant", "both" if len(variants) == 2 else variants[0],
+        "--json", str(tmp_path / "out.json"),
+    ]
+    assert main(argv) == 0
+    assert (len(ext_calls), len(reg_calls)) == (exts, regs)
 
 
 def test_sweep_hypersurface_grid():
