@@ -14,7 +14,6 @@ from cmreg.fields import GF32003
 from cmreg.freemod import cyclic_presentation
 from cmreg.rees import (
     IdealData,
-    d_of,
     is_reduction,
     power_module,
     quotient_module,
@@ -67,7 +66,7 @@ print("rho upper bound:", bound.value, f"({bound.label})")
 print("witness ideal generators:", [str(p) for p in bound.witness.generators])
 print("certificate: found =", bound.certificate.found,
       " stable from n =", bound.certificate.witness)
-print("d(witness) =", d_of(bound.witness))
+print("d(witness) =", bound.witness.d1())
 
 # For the unit ideal every power module is N itself, so the bound is 0.
 print()

@@ -14,7 +14,7 @@ import os
 import tempfile
 
 from cmreg.cli import main
-from cmreg.problemfile import parse_problem, poly_text, pretty_print
+from cmreg.problemfile import parse_problem, pretty_print
 
 PROBLEM = """\
 ring d=2 char=32003
@@ -30,7 +30,7 @@ params: imax=3 nmax=4 candidates=I
 prob = parse_problem(PROBLEM)
 print("ring:", prob.ring)
 print("modules:", sorted(prob.modules))
-print("ideal I generators:", [poly_text(g) for g in prob.ideals["I"].generators])
+print("ideal I generators:", [repr(g) for g in prob.ideals["I"].generators])
 print("params:", prob.params)
 
 # pretty_print is a fixed point: parsing its output reproduces it.

@@ -30,10 +30,14 @@ from .freemod import (
     GradedMap,
     ModulePresentation,
     map_from_columns,
-    vec_is_zero,
     vec_reduce_entries,
 )
-from .groebner import DEFAULT_DEGREE_CAP, Elimination, normal_form, submodule_gb
+from .groebner import (
+    DEFAULT_DEGREE_CAP,
+    Elimination,
+    submodule_contains,
+    submodule_gb,
+)
 from .resolution import FreeResolution
 from .rings import QuotientRing
 
@@ -170,10 +174,7 @@ class PresentationMap:
                 a - b
                 for a, b in zip(self.map.column(m), other.map.column(m))
             )
-            diff = vec_reduce_entries(self.target.cover, diff)
-            if vec_is_zero(diff):
-                continue
-            if not vec_is_zero(normal_form(diff, gb)):
+            if not submodule_contains(gb, diff):
                 return False
         return True
 

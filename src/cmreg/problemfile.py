@@ -34,7 +34,7 @@ from .freemod import (
     vec_degree,
 )
 from .rees import IdealData, unit_ideal
-from .rings import PolyRing, QuotientRing, parse_poly
+from .rings import PolyRing, QuotientRing
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -170,12 +170,11 @@ def _parse_entry(text, ring, lineno):
     if not text:
         raise ProblemSyntaxError("empty polynomial", lineno, 1)
     try:
-        p = parse_poly(ring.base, text)
+        return ring.poly(text)
     except HomogeneityError as exc:
         raise ProblemSemanticError(f"inhomogeneous polynomial {text!r}: {exc}", lineno)
     except ValueError as exc:
         raise ProblemSyntaxError(f"bad polynomial {text!r}: {exc}", lineno, 1)
-    return ring.normal_form(p)
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -364,43 +363,14 @@ def parse_problem(text: str) -> ProblemFile:
 # -- canonical text form -------------------------------------------------------
 
 
-def poly_text(p) -> str:
-    """Canonical text for a polynomial: terms descending in the ring order."""
-    if p.is_zero():
-        return "0"
-    ring = p.ring
-    pieces = []
-    for exps in sorted(p.terms, key=ring.order_key, reverse=True):
-        c = p.terms[exps]
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(ring.var_name(i))
-            elif e > 1:
-                factors.append(f"{ring.var_name(i)}^{e}")
-        p_char = ring.field.characteristic
-        neg = c < 0 if p_char == 0 else c > p_char // 2
-        mag = (-c if neg else c) if p_char == 0 else (p_char - c if neg else c)
-        coeff = str(mag)
-        if factors and mag == ring.field.one:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([coeff] + factors)
-        else:
-            body = coeff
-        pieces.append(("- " if neg else "+ ") + body if pieces else
-                      ("-" + body if neg else body))
-    return " ".join(pieces)
-
-
 def pretty_print(pf: ProblemFile) -> str:
     out = [f"ring d={pf.d} char={pf.char}"]
     if pf.quotient:
-        out.append("quotient: " + "; ".join(poly_text(z) for z in pf.quotient))
+        out.append("quotient: " + "; ".join(repr(z) for z in pf.quotient))
     for name, M in pf.modules.items():
         targets = "[" + ",".join(str(a) for a in M.generator_degrees) + "]"
         rels = ",".join(
-            "[" + ",".join(poly_text(p) for p in M.relations.column(m)) + "]"
+            "[" + ",".join(repr(p) for p in M.relations.column(m)) + "]"
             for m in range(M.relations.source.rank)
         )
         out.append(f"module {name}: targets {targets}; relations [{rels}]")
@@ -408,7 +378,7 @@ def pretty_print(pf: ProblemFile) -> str:
         if I.improper:
             out.append(f"ideal {name}: unit")
         else:
-            gens = ", ".join(poly_text(g) for g in I.generators)
+            gens = ", ".join(repr(g) for g in I.generators)
             out.append(f"ideal {name}: {gens}")
     if pf.params:
         bits = []

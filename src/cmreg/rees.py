@@ -27,7 +27,6 @@ from .groebner import (
     DEFAULT_DEGREE_CAP,
     minimal_generators,
     submodule_contains,
-    submodule_equal,
     submodule_gb,
 )
 
@@ -54,7 +53,8 @@ class IdealData:
         return not self.generators
 
     def d1(self):
-        """Largest minimal-generator degree (the d(J) value lives here)."""
+        """d(J), the largest minimal-generator degree; 0 for the unit ideal
+        (generated by 1) and for the zero ideal (no generators)."""
         return self.degrees[0] if self.degrees else 0
 
     def __repr__(self):
@@ -146,23 +146,15 @@ def is_reduction(
         raise ReductionPreconditionError("candidate ideal is not contained in I")
     F = N.cover
     psi = [c for c in N.relations.columns() if not vec_is_zero(c)]
+    prods = _power_products(I, 0)
     for n in range(n_max + 1):
-        lhs = scaled_basis(F, _power_products(I, n + 1)) + psi
-        jin = []
-        for yj in J.generators:
-            for p in _power_products(I, n):
-                jin.append(yj * p)
-        rhs = scaled_basis(F, jin) + psi
-        if submodule_equal(lhs, rhs, F, cap=degree_cap):
+        jin = [yj * p for yj in J.generators for p in prods]
+        prods = _power_products(I, n + 1)
+        # J <= I gives J I^n N <= I^{n+1} N, so one containment decides
+        gb = submodule_gb(scaled_basis(F, jin) + psi, F, cap=degree_cap)
+        if all(submodule_contains(gb, v) for v in scaled_basis(F, prods)):
             return ReductionCertificate(J, n, n_max)
     return ReductionCertificate(J, None, n_max)
-
-
-def d_of(J: IdealData) -> int:
-    """Largest minimal-generator degree; 0 for the unit and zero ideals."""
-    if J.improper or J.is_zero:
-        return 0
-    return J.d1()
 
 
 class RhoBound:
@@ -214,12 +206,12 @@ def rho_upper(
         truncated = True
     pool.extend(candidates)
     pool.append(I)
-    pool.sort(key=lambda J: (d_of(J), len(J.generators)))
+    pool.sort(key=lambda J: (J.d1(), len(J.generators)))
     best = None
     for J in pool:
-        if best is not None and d_of(J) >= best.value:
+        if best is not None and J.d1() >= best.value:
             break
         cert = is_reduction(J, I, N, n_max, degree_cap)
         if cert.found:
-            best = RhoBound(d_of(J), J, cert, truncated)
+            best = RhoBound(J.d1(), J, cert, truncated)
     return best

@@ -39,6 +39,19 @@ def _key_degrevlex(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def weak_compositions(total: int, parts: int):
+    """All tuples of parts non-negative integers summing to total, unsorted:
+    stars and bars, one tuple per choice of parts - 1 bars among
+    total + parts - 1 slots.  Empty for a negative total."""
+    if total < 0 or parts == 0:
+        return [()] if total == parts == 0 else []
+    end = (total + parts - 1,)
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+        for bars in combinations(range(total + parts - 1), parts - 1)
+    ]
+
+
 class PolyRing:
     """Standard graded polynomial ring over an exact field, with the
     degrevlex monomial order.
@@ -112,22 +125,8 @@ class PolyRing:
     def monomials_of_degree(self, s: int):
         """All exponent tuples of total degree s, sorted descending in the
         ring order (deterministic basis for graded pieces)."""
-        if s < 0:
-            return []
-        out = []
-
-        def rec(prefix, remaining, pos):
-            if pos == self.nvars - 1:
-                out.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining, -1, -1):
-                rec(prefix + [e], remaining - e, pos + 1)
-
-        if self.nvars == 0:
-            return [()] if s == 0 else []
-        rec([], s, 0)
-        out.sort(key=self.order_key, reverse=True)
-        return out
+        monos = weak_compositions(s, self.nvars)
+        return sorted(monos, key=self.order_key, reverse=True)
 
     std_monomials_of_degree = monomials_of_degree
 
@@ -257,29 +256,31 @@ class GradedPoly:
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda t: self.ring.order_key(t[0]), reverse=True
-        )
-
     def __repr__(self):
+        """Canonical text, read back by parse_poly: terms descending in the
+        ring order, and GF(p) representatives above p/2 signed negative."""
         if self.is_zero():
             return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
+        ring = self.ring
+        p_char = ring.field.characteristic
+        pieces = []
+        for exps in sorted(self.terms, key=ring.order_key, reverse=True):
+            c = self.terms[exps]
+            neg = c < 0 if p_char == 0 else c > p_char // 2
+            mag = ring.field.neg(c) if neg else c
             factors = [
-                f"{self.ring.var_name(i)}^{e}" if e > 1 else self.ring.var_name(i)
+                f"{ring.var_name(i)}^{e}" if e > 1 else ring.var_name(i)
                 for i, e in enumerate(exps)
                 if e
             ]
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == self.ring.field.one:
-                parts.append(mono)
+            if not factors or mag != ring.field.one:
+                factors.insert(0, str(mag))
+            body = "*".join(factors)
+            if pieces:
+                pieces.append(("- " if neg else "+ ") + body)
             else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
+                pieces.append("-" + body if neg else body)
+        return " ".join(pieces)
 
 
 class QuotientRing:

@@ -28,6 +28,7 @@ from math import comb
 from types import MappingProxyType
 
 from .freemod import NEG_INF
+from .rings import weak_compositions
 
 
 def _integer(x):
@@ -108,21 +109,8 @@ def bound_constants(spec: TrigradedRingSpec, data: TrigradedFreeData):
 def compositions(total, parts):
     """Weak compositions of total into parts non-negative integers, in
     colexicographic order; a single empty composition when parts = 0 and
-    total = 0."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == parts - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, pos + 1)
-
-    rec([], total, 0)
-    out.sort(key=lambda t: t[::-1])
-    return out
+    total = 0, and none for a negative total."""
+    return sorted(weak_compositions(total, parts), key=lambda t: t[::-1])
 
 
 @lru_cache(maxsize=1024)

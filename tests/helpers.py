@@ -4,6 +4,7 @@ modules."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from cmreg.fields import GF32003
@@ -120,6 +121,20 @@ def random_poly(rng: random.Random, ring, degree):
         if c:
             terms[exps] = base.field(c)
     return base.from_terms(terms)
+
+
+def random_signed_poly(rng: random.Random, R: PolyRing, degree):
+    """Random homogeneous polynomial over a polynomial ring whose
+    coefficients reach every sign: all of GF(p), or fractions of either
+    sign over QQ.  Degree 0 gives constants; the result may be zero."""
+    terms = {}
+    for e in R.monomials_of_degree(degree):
+        if rng.random() < 0.6:
+            if R.field.characteristic:
+                terms[e] = rng.randrange(R.field.characteristic)
+            else:
+                terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return R.from_terms(terms)
 
 
 def random_presentation(

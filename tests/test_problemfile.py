@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import PROBLEM_VARIANTS, problem_file, random_signed_poly
 from cmreg.errors import ProblemSemanticError, ProblemSyntaxError
-from cmreg.problemfile import parse_problem, poly_text, pretty_print
+from cmreg.fields import field_of_characteristic
+from cmreg.problemfile import parse_problem, pretty_print
 from cmreg.regularity import regularity
-from cmreg.rings import QuotientRing
+from cmreg.rings import GradedPoly, PolyRing, QuotientRing
 
 EXAMPLE = """\
 # reduced hypersurface setup
@@ -73,11 +76,60 @@ def test_unit_ideal_and_empty_quotient():
     assert not isinstance(pf.ring, QuotientRing) or pf.ring.relations == ()
 
 
-def test_poly_text_canonical_order():
+def test_repr_canonical_order():
     pf = parse_problem("ring d=2 char=32003\n")
     q = pf.ring.poly("x2^2 + x1*x2 + x1^2")
     # terms descending in the ring order
-    assert poly_text(q) == "x1^2 + x1*x2 + x2^2"
+    assert repr(q) == "x1^2 + x1*x2 + x2^2"
+
+
+def _poly_text(p) -> str:
+    """The signed printer that problemfile kept beside GradedPoly.__repr__
+    until the two merged, kept here as the reference for the merged one."""
+    if p.is_zero():
+        return "0"
+    ring = p.ring
+    pieces = []
+    for exps in sorted(p.terms, key=ring.order_key, reverse=True):
+        c = p.terms[exps]
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(ring.var_name(i))
+            elif e > 1:
+                factors.append(f"{ring.var_name(i)}^{e}")
+        p_char = ring.field.characteristic
+        neg = c < 0 if p_char == 0 else c > p_char // 2
+        mag = (-c if neg else c) if p_char == 0 else (p_char - c if neg else c)
+        coeff = str(mag)
+        if factors and mag == ring.field.one:
+            body = "*".join(factors)
+        elif factors:
+            body = "*".join([coeff] + factors)
+        else:
+            body = coeff
+        pieces.append(("- " if neg else "+ ") + body if pieces else
+                      ("-" + body if neg else body))
+    return " ".join(pieces)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_VARIANTS))
+def test_pretty_print_of_shipped_files_matches_the_old_printer(name, monkeypatch):
+    pf = problem_file(name)
+    text = pretty_print(pf)
+    monkeypatch.setattr(GradedPoly, "__repr__", _poly_text)
+    assert pretty_print(pf) == text
+    assert pretty_print(parse_problem(text)) == text
+
+
+@pytest.mark.parametrize("char", [0, 7, 32003])
+def test_repr_matches_the_old_printer_on_random_polys(char, seed):
+    rng = random.Random(seed)
+    for d in (1, 2, 3):
+        R = PolyRing(d, field_of_characteristic(char))
+        for degree in (0, 1, 2, 3):
+            p = random_signed_poly(rng, R, degree)
+            assert repr(p) == _poly_text(p)
 
 
 def test_syntax_errors_carry_positions():

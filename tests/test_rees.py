@@ -1,22 +1,33 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
+import cmreg.groebner
 from helpers import (
+    ci3_setup,
     cyclic_quotient,
     hypersurface_setup,
+    problem_file,
     random_poly,
+    random_presentation,
     reduced_hypersurface_setup,
+    two_relation_setup,
 )
 from cmreg.errors import ReductionPreconditionError
 from cmreg.fields import GF32003
-from cmreg.freemod import NEG_INF, GradedFreeModule, free_presentation
-from cmreg.groebner import submodule_contains, submodule_gb
+from cmreg.freemod import (
+    NEG_INF,
+    GradedFreeModule,
+    free_presentation,
+    scaled_basis,
+    vec_is_zero,
+)
+from cmreg.groebner import submodule_contains, submodule_equal, submodule_gb
 from cmreg.rees import (
     IdealData,
-    d_of,
     is_reduction,
     power_module,
     quotient_module,
@@ -104,6 +115,87 @@ def test_is_reduction_and_certificate():
         is_reduction(J, I, N, n_max=2)
 
 
+def _power_products(I, n):
+    """Every product of n generators of I (repeats allowed), as Q-polys."""
+    out = []
+    for pick in combinations_with_replacement(I.generators, n):
+        p = I.ring.base.one
+        for g in pick:
+            p = p * g
+        out.append(p)
+    return out
+
+
+def _two_sided_witness(J, I, N, n_max):
+    """Least n <= n_max with I^{n+1}N = J I^n N, decided by comparing the
+    two spans both ways with submodule_equal; None if there is none."""
+    F = N.cover
+    psi = [c for c in N.relations.columns() if not vec_is_zero(c)]
+    for n in range(n_max + 1):
+        lhs = scaled_basis(F, _power_products(I, n + 1)) + psi
+        jin = [y * p for y in J.generators for p in _power_products(I, n)]
+        if submodule_equal(lhs, scaled_basis(F, jin) + psi, F):
+            return n
+    return None
+
+
+def test_is_reduction_matches_the_two_sided_check(seed):
+    # J <= I makes J I^n N <= I^{n+1} N, so is_reduction checks only the
+    # other containment; the witness must be the one equality gives
+    rng = random.Random(seed)
+    Q2 = PolyRing(2, GF32003)
+    cases = [
+        # I^2 = J I with J = (x1^2, x2^2) and I = (x1, x2)^2, but I != J
+        (
+            IdealData(Q2, [Q2.poly("x1^2"), Q2.poly("x2^2")]),
+            IdealData(Q2, [Q2.poly("x1^2"), Q2.poly("x1*x2"), Q2.poly("x2^2")]),
+            free_presentation(Q2, (0,)),
+        )
+    ]
+    for setup in (
+        hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup
+    ):
+        A = setup()[0]
+        for _ in range(6):
+            gens = [random_poly(rng, A, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            I = IdealData(A, gens)
+            picks = [g for g in I.generators if rng.random() < 0.5]
+            multiples = [
+                g * random_poly(rng, A, 1) for g in I.generators if rng.random() < 0.5
+            ]
+            cases.append(
+                (IdealData(A, picks + multiples), I, random_presentation(rng, A, max_deg=2))
+            )
+    witnesses = []
+    for J, I, N in cases:
+        cert = is_reduction(J, I, N, n_max=2)
+        assert cert.witness == _two_sided_witness(J, I, N, 2)
+        witnesses.append(cert.witness)
+    assert witnesses[0] == 1
+    assert {None, 0} <= set(witnesses)
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("hypersurface", 8), ("two_relation", 8), ("reduced_hypersurface", 8), ("ci3", 15)],
+)
+def test_rho_upper_buchberger_calls_on_the_shipped_problems(monkeypatch, name, calls):
+    # verify's rho_upper call: the candidate IdealData, the J <= I checks and
+    # one basis of J I^n N per reduction test, none of I^{n+1} N
+    pf = problem_file(name)
+    count = []
+    inner = cmreg.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return inner(*args, **kwargs)
+
+    candidates = [pf.ideal(c) for c in pf.params.get("candidates", ())]
+    monkeypatch.setattr(cmreg.groebner, "buchberger", counting)
+    rho_upper(pf.ideal("I"), pf.module("N"), candidates=candidates)
+    assert len(count) == calls
+
+
 def test_rho_upper_values():
     # the unit ideal is improper, I^n N = N for all n, and it is its own
     # best reduction with d = 0
@@ -129,14 +221,14 @@ def test_rho_upper_principal_higher_degree():
     I = IdealData(Q, [Q.poly("x1^2")])
     bound = rho_upper(I, N, n_max=2)
     assert bound.value == 2
-    assert d_of(bound.witness) == 2
+    assert bound.witness.d1() == 2
 
 
-def test_d_of_conventions():
+def test_d1_conventions():
     Q = PolyRing(2, GF32003)
-    assert d_of(unit_ideal(Q)) == 0
-    assert d_of(IdealData(Q, [])) == 0
-    assert d_of(IdealData(Q, [Q.poly("x1^2"), Q.poly("x2")])) == 2
+    assert unit_ideal(Q).d1() == 0
+    assert IdealData(Q, []).d1() == 0
+    assert IdealData(Q, [Q.poly("x1^2"), Q.poly("x2")]).d1() == 2
 
 
 def test_power_quotient_exact_sequence_regularity():

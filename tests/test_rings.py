@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_signed_poly
 from cmreg.errors import HomogeneityError
 from cmreg.fields import GF32003, QQ, PrimeField
 from cmreg.rings import PolyRing, QuotientRing, parse_poly
@@ -56,11 +60,37 @@ def test_degrevlex_order():
     assert q.lm() == (1, 1)
 
 
+@pytest.mark.parametrize("field", [GF32003, PrimeField(7), QQ], ids=str)
+def test_repr_parses_back(field, seed):
+    rng = random.Random(seed)
+    for nvars in (1, 2, 3):
+        R = PolyRing(nvars, field)
+        polys = [R.constant(-3), R.constant(QQ(-5) / 2), R.poly("x1 - 2*x1")]
+        polys += [random_signed_poly(rng, R, d) for d in (0, 0, 1, 2, 3, 3)]
+        for p in polys:
+            assert parse_poly(R, repr(p)) == p
+    R3 = PolyRing(3, field)
+    assert repr(R3.poly("x2^2 - x1*x3")) == "x2^2 - x1*x3"
+    assert repr(R3.poly("-x1 + 2*x3")) == "-x1 + 2*x3"
+    assert repr(R3.zero) == "0"
+
+
 def test_monomials_of_degree_ordering():
     R = PolyRing(2, GF32003)
     monos = R.monomials_of_degree(2)
     assert monos[0] == (2, 0)
     assert set(monos) == {(2, 0), (1, 1), (0, 2)}
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4])
+def test_monomials_of_degree_match_a_brute_force_filter(nvars):
+    # every exponent tuple in the box [0, s]^nvars of total degree s, sorted
+    # descending in degrevlex; none for s < 0
+    R = PolyRing(nvars, GF32003)
+    for s in range(-2, 7):
+        box = product(range(max(s, 0) + 1), repeat=nvars)
+        want = sorted((e for e in box if sum(e) == s), key=R.order_key, reverse=True)
+        assert R.monomials_of_degree(s) == want
 
 
 def test_quotient_normal_form():

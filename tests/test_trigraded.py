@@ -107,6 +107,12 @@ def test_compositions_cardinality(total, parts):
     assert out == sorted(out, key=lambda t: t[::-1])
 
 
+@pytest.mark.parametrize("parts", [0, 1, 2, 3])
+@pytest.mark.parametrize("total", [-1, -2, -5])
+def test_compositions_of_a_negative_total_are_empty(total, parts):
+    assert compositions(total, parts) == []
+
+
 def test_spec_sorts_weights_descending():
     spec = TrigradedRingSpec(2, 3, 2, [1, 4, 2], [3, 5])
     assert spec.h == (4, 2, 1) and spec.g == (5, 3)
