@@ -70,7 +70,7 @@ with tempfile.TemporaryDirectory(prefix="cmreg_demo_") as workdir:
     print("$ cmreg rho", path, "--module N --ideal I")
     main(["rho", path, "--module", "N", "--ideal", "I"])
 
-    # sweep writes CSV and JSON; --out with atomic replacement, so a crash
+    # sweep writes --csv and --json files by atomic replacement, so a crash
     # can never leave half a file behind.
     csv_path = os.path.join(workdir, "grid.csv")
     json_path = os.path.join(workdir, "grid.json")

@@ -1,14 +1,19 @@
 """Command line surface.
 
-Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound.
+Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound,
+each accepting only the options it reads.  --imax, --nmax and --degree-cap
+take the flag if given, else the problem file's params value or the
+trigraded data file's key of that name, else the default.
 Exit codes: 0 success, 1 usage, parse or semantic error or an output path
 that cannot be written, 2 degree-cap breach, 3 bound violation, 4 internal
 consistency failure.
 
-Output files are written atomically (unique temp file, fsync, rename).
-CSV rows are `variant,parity,i,n,reg` with the literal `-inf` for vanishing
-modules and `cap` for cells abandoned at the degree cap; the JSON artifact
-mirrors the CSV cells plus a metadata block.
+sweep writes --csv and --json (CSV on stdout if neither), verify --json
+(else stdout), every other subcommand --out (else stdout).  Output files
+are written atomically (unique temp file, fsync, rename).  CSV rows are
+`variant,parity,i,n,reg` with the literal `-inf` for vanishing modules and
+`cap` for cells abandoned at the degree cap; the JSON artifact mirrors the
+CSV cells plus a metadata block.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import (
     ProblemSemanticError,
     ProblemSyntaxError,
 )
+from .ext_tor import ext, tor
 from .freemod import NEG_INF
 from .groebner import DEFAULT_DEGREE_CAP
 from .problemfile import parse_problem
@@ -39,6 +45,7 @@ from .sweeps import reg_to_text, sweep, verify_bounds
 from .trigraded import (
     TrigradedFreeData,
     TrigradedRingSpec,
+    _integer,
     bound_constants,
     max_twist_bound_check,
 )
@@ -114,11 +121,18 @@ def _load(path: str):
     return parse_problem(text)
 
 
-def _pick_caps(pf, args):
-    degree_cap = getattr(args, "degree_cap", None)
-    if degree_cap is None:
-        degree_cap = pf.params.get("degree_cap", DEFAULT_DEGREE_CAP)
-    return degree_cap
+def _setting(args, source, key, default):
+    """The run setting key: the flag of that name if given, else source[key]
+    (a problem file's params or a trigraded data file's top level), else
+    default.  A file value must be an integer >= 0; an integral float
+    passes, as it does for the integers of a TrigradedRingSpec."""
+    flag = getattr(args, key)
+    if flag is not None:
+        return flag
+    try:
+        return nonnegative(_integer(source.get(key, default)))
+    except ValueError as exc:
+        raise ProblemSemanticError(f"bad {key}: {exc}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -127,7 +141,7 @@ def _pick_caps(pf, args):
 def cmd_resolve(args):
     pf = _load(args.problem)
     M = pf.module(args.module)
-    degree_cap = _pick_caps(pf, args)
+    degree_cap = _setting(args, pf.params, "degree_cap", DEFAULT_DEGREE_CAP)
     if args.over == "Q":
         R = resolve_over_Q(present_over_Q(M), degree_cap=degree_cap)
     else:
@@ -143,37 +157,28 @@ def cmd_resolve(args):
 def cmd_reg(args):
     pf = _load(args.problem)
     M = pf.module(args.module)
-    value = regularity(M, degree_cap=_pick_caps(pf, args))
-    _emit(reg_to_text(value) + "\n", args.out)
+    degree_cap = _setting(args, pf.params, "degree_cap", DEFAULT_DEGREE_CAP)
+    _emit(reg_to_text(regularity(M, degree_cap=degree_cap)) + "\n", args.out)
     return 0
 
 
-def _cmd_ext_tor(args, which):
-    from .ext_tor import ext as ext_fn, tor as tor_fn
-
+def cmd_ext_tor(args):
+    """`ext` or `tor`, as args.command says."""
     pf = _load(args.problem)
     M = pf.module(args.module)
     N = pf.module(args.coeff)
-    degree_cap = _pick_caps(pf, args)
-    fn = ext_fn if which == "ext" else tor_fn
+    degree_cap = _setting(args, pf.params, "degree_cap", DEFAULT_DEGREE_CAP)
+    fn = ext if args.command == "ext" else tor
     E = fn(M, N, args.index, degree_cap=degree_cap)
     value = regularity(E.presentation, degree_cap=degree_cap)
     gens = ",".join(str(a) for a in E.presentation.generator_degrees)
     lines = [
-        f"{which}^{args.index} generators [{gens}] "
+        f"{args.command}^{args.index} generators [{gens}] "
         f"relations {E.presentation.relations.source.rank}",
         f"reg {reg_to_text(value)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def cmd_ext(args):
-    return _cmd_ext_tor(args, "ext")
-
-
-def cmd_tor(args):
-    return _cmd_ext_tor(args, "tor")
 
 
 def _candidate_ideals(pf):
@@ -185,7 +190,7 @@ def cmd_rho(args):
     pf = _load(args.problem)
     N = pf.module(args.module)
     I = pf.ideal(args.ideal)
-    degree_cap = _pick_caps(pf, args)
+    degree_cap = _setting(args, pf.params, "degree_cap", DEFAULT_DEGREE_CAP)
     bound = rho_upper(
         I, N, candidates=_candidate_ideals(pf),
         n_max=args.nmax, degree_cap=degree_cap,
@@ -206,9 +211,9 @@ def _run_sweep(pf, args):
     M = pf.module(args.module)
     N = pf.module(args.coeff)
     I = pf.ideal(args.ideal)
-    degree_cap = _pick_caps(pf, args)
-    i_max = args.imax if args.imax is not None else pf.params.get("imax", 3)
-    n_max = args.nmax if args.nmax is not None else pf.params.get("nmax", 3)
+    degree_cap = _setting(args, pf.params, "degree_cap", DEFAULT_DEGREE_CAP)
+    i_max = _setting(args, pf.params, "imax", 3)
+    n_max = _setting(args, pf.params, "nmax", 3)
     variants = ("power", "quotient") if args.variant == "both" else (args.variant,)
     T = sweep(M, N, I, i_max, n_max, variants=variants, degree_cap=degree_cap)
     return T, I, N, degree_cap
@@ -259,25 +264,17 @@ def cmd_sweep(args):
 
 
 def _fit_json(fit):
-    return {
-        "status": fit.status,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "onset": fit.onset,
-    }
+    return {key: getattr(fit, key) for key in ("status", "slope", "intercept", "onset")}
 
 
 def cmd_verify(args):
     pf = _load(args.problem)
     T, I, N, degree_cap = _run_sweep(pf, args)
     f = args.f if args.f is not None else T.metadata["f"]
-    if args.rho is not None:
-        rho_value = args.rho
-    else:
-        rho_value = rho_upper(
-            I, N, candidates=_candidate_ideals(pf),
-            degree_cap=degree_cap,
-        ).value
+    rho_value = args.rho
+    if rho_value is None:
+        candidates = _candidate_ideals(pf)
+        rho_value = rho_upper(I, N, candidates=candidates, degree_cap=degree_cap).value
     report = verify_bounds(T, rho_value, f, const=args.const)
     payload = _table_json(T, rho_value)
     payload["report"] = {
@@ -302,13 +299,14 @@ def cmd_verify(args):
         },
         "note": report.note,
     }
-    text = json.dumps(payload, indent=1) + "\n"
-    _emit(text, args.json)
+    _emit(json.dumps(payload, indent=1) + "\n", args.json)
     if report.violations:
-        raise BoundViolation(
-            f"{len(report.violations)} cell(s) violate the bound"
-        )
+        raise BoundViolation(f"{len(report.violations)} cell(s) violate the bound")
     return 0
+
+
+#: the top-level keys of trigraded-bound data
+TRIGRADED_KEYS = ("spec", "data", "imax", "nmax")
 
 
 def cmd_trigraded_bound(args):
@@ -320,16 +318,18 @@ def cmd_trigraded_bound(args):
     except json.JSONDecodeError as exc:
         raise ProblemSyntaxError(str(exc), exc.lineno, exc.colno)
     try:
-        spec = TrigradedRingSpec(
-            d=blob["spec"]["d"], b=blob["spec"]["b"], c=blob["spec"]["c"],
-            h=blob["spec"]["h"], g=blob["spec"]["g"],
-        )
+        unknown = sorted(set(blob) - set(TRIGRADED_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown key {unknown[0]!r} (known: {', '.join(TRIGRADED_KEYS)})"
+            )
+        spec = TrigradedRingSpec(**blob["spec"])
         data = TrigradedFreeData(blob["data"], spec)
-        i_max = nonnegative(blob.get("imax", args.imax))
-        n_max = nonnegative(blob.get("nmax", args.nmax))
+        cs, e = bound_constants(spec, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemSemanticError(f"bad trigraded data: {exc}")
-    cs, e = bound_constants(spec, data)
+    i_max = _setting(args, blob, "imax", 9)
+    n_max = _setting(args, blob, "nmax", 9)
     checks = all(
         max_twist_bound_check(spec, data, l, i, n)
         for l in sorted(data.levels)
@@ -357,16 +357,14 @@ def cmd_trigraded_bound(args):
 # -- argument wiring ------------------------------------------------------------
 
 
-def _add_common(sp, module=True, coeff=False, ideal=False):
+def _add_common(sp, coeff=False, ideal=False):
     sp.add_argument("problem", help="problem file path")
-    if module:
-        sp.add_argument("--module", required=True, help="module name")
+    sp.add_argument("--module", required=True, help="module name")
     if coeff:
         sp.add_argument("--coeff", required=True, help="coefficient module name")
     if ideal:
         sp.add_argument("--ideal", required=True, help="ideal name")
     sp.add_argument("--degree-cap", dest="degree_cap", type=nonnegative, default=None)
-    sp.add_argument("--out", default=None, help="write output here (atomic)")
 
 
 def build_parser() -> _Parser:
@@ -377,26 +375,28 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("resolve", help="minimal graded free resolution")
     _add_common(sp)
     sp.add_argument("--over", choices=("A", "Q"), default="A")
-    sp.add_argument("--cap", type=nonnegative, default=6, help="homological cap over A")
+    sp.add_argument(
+        "--cap", type=nonnegative, default=6, help="homological cap (--over A only)"
+    )
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
     sp.set_defaults(fn=cmd_resolve)
 
     sp = sub.add_parser("reg", help="Castelnuovo-Mumford regularity")
     _add_common(sp)
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
     sp.set_defaults(fn=cmd_reg)
 
-    sp = sub.add_parser("ext", help="one Ext module and its regularity")
-    _add_common(sp, coeff=True)
-    sp.add_argument("--index", type=nonnegative, required=True)
-    sp.set_defaults(fn=cmd_ext)
-
-    sp = sub.add_parser("tor", help="one Tor module and its regularity")
-    _add_common(sp, coeff=True)
-    sp.add_argument("--index", type=nonnegative, required=True)
-    sp.set_defaults(fn=cmd_tor)
+    for name, what in (("ext", "Ext"), ("tor", "Tor")):
+        sp = sub.add_parser(name, help=f"one {what} module and its regularity")
+        _add_common(sp, coeff=True)
+        sp.add_argument("--index", type=nonnegative, required=True)
+        sp.add_argument("--out", default=None, help="write output here (atomic)")
+        sp.set_defaults(fn=cmd_ext_tor)
 
     sp = sub.add_parser("rho", help="certified upper bound for rho_N(I)")
     _add_common(sp, ideal=True)
     sp.add_argument("--nmax", type=nonnegative, default=3, help="reduction check horizon")
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
     sp.set_defaults(fn=cmd_rho)
 
     for name, fn in (("sweep", cmd_sweep), ("verify", cmd_verify)):
@@ -408,9 +408,10 @@ def build_parser() -> _Parser:
             "--variant", choices=("power", "quotient", "both"), default="power"
         )
         sp.add_argument("--rho", type=int, default=None, help="rho upper bound")
-        sp.add_argument("--csv", default=None)
         sp.add_argument("--json", default=None)
-        if name == "verify":
+        if name == "sweep":
+            sp.add_argument("--csv", default=None)
+        else:
             sp.add_argument("--f", type=int, default=None)
             sp.add_argument("--const", type=int, default=None)
         sp.set_defaults(fn=fn)
@@ -419,9 +420,9 @@ def build_parser() -> _Parser:
         "trigraded-bound", help="twist-calculus bound line from free data"
     )
     sp.add_argument("data", help="JSON file with spec/data blocks")
-    sp.add_argument("--imax", type=nonnegative, default=9)
-    sp.add_argument("--nmax", type=nonnegative, default=9)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--imax", type=nonnegative, default=None)
+    sp.add_argument("--nmax", type=nonnegative, default=None)
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
     sp.set_defaults(fn=cmd_trigraded_bound)
     return ap
 

@@ -43,16 +43,14 @@ PARAM_KEYS = ("imax", "nmax", "degree_cap", "candidates")
 
 
 class ProblemFile:
-    """Parsed problem: the ring A, named modules and ideals, run params."""
+    """Parsed problem: the ring A, named modules and ideals, run params.
+    The file's d, char and quotient are ring.nvars,
+    ring.field.characteristic and ring.relations."""
 
-    __slots__ = ("d", "char", "field", "ring", "quotient", "modules", "ideals", "params")
+    __slots__ = ("ring", "modules", "ideals", "params")
 
-    def __init__(self, d, char, field, ring, quotient, modules, ideals, params):
-        self.d = d
-        self.char = char
-        self.field = field
+    def __init__(self, ring, modules, ideals, params):
         self.ring = ring
-        self.quotient = quotient
         self.modules = modules
         self.ideals = ideals
         self.params = params
@@ -175,10 +173,11 @@ def _parse_entry(text, ring, lineno):
         raise ProblemSemanticError(f"inhomogeneous polynomial {text!r}: {exc}", lineno)
     except ValueError as exc:
         raise ProblemSyntaxError(f"bad polynomial {text!r}: {exc}", lineno, 1)
+    except RecursionError:
+        raise ProblemSyntaxError("polynomial nested too deeply", lineno, 1) from None
 
 
 def parse_problem(text: str) -> ProblemFile:
-    d = char = None
     base = ring = None
     quotient = []
     modules = {}
@@ -258,33 +257,24 @@ def parse_problem(text: str) -> ProblemFile:
                     )
             cur.literal(";")
             cur.literal("relations")
-            cur.literal("[")
-            inner = cur.until("]")
-            cur.literal("]")
+            items = _bracket_list(cur)
             if not cur.at_end():
                 cur.fail("trailing text after relations")
             cover = GradedFreeModule(ring, tuple(targets))
-            rel_texts = []
-            if inner:
-                for item in _split_top(inner, ",", lineno, cur.col()):
-                    if not (item.startswith("[") and item.endswith("]")):
-                        raise ProblemSyntaxError(
-                            "each relation is a [..] vector", lineno, cur.col()
-                        )
-                    rel_texts.append(
-                        _split_top(item[1:-1], ",", lineno, cur.col())
-                    )
             cols = []
             src_twists = []
-            for vec_text in rel_texts:
+            for item in items:
+                if not (item.startswith("[") and item.endswith("]")):
+                    raise ProblemSyntaxError(
+                        "each relation is a [..] vector", lineno, cur.col()
+                    )
+                vec_text = _split_top(item[1:-1], ",", lineno, cur.col())
                 if len(vec_text) != len(targets):
                     raise ProblemSemanticError(
                         f"relation has {len(vec_text)} entries, expected "
                         f"{len(targets)}", lineno
                     )
-                col = tuple(
-                    _parse_entry(t, ring, lineno) for t in vec_text
-                )
+                col = tuple(_parse_entry(t, ring, lineno) for t in vec_text)
                 try:
                     deg = vec_degree(cover, col)
                 except HomogeneityError as exc:
@@ -355,18 +345,17 @@ def parse_problem(text: str) -> ProblemFile:
     for cand in params.get("candidates", ()):
         if cand not in ideals:
             raise ProblemSemanticError(f"unknown candidate ideal {cand!r}", params_line)
-    return ProblemFile(
-        d, char, base.field, ring, tuple(quotient), modules, ideals, params
-    )
+    return ProblemFile(ring, modules, ideals, params)
 
 
 # -- canonical text form -------------------------------------------------------
 
 
 def pretty_print(pf: ProblemFile) -> str:
-    out = [f"ring d={pf.d} char={pf.char}"]
-    if pf.quotient:
-        out.append("quotient: " + "; ".join(repr(z) for z in pf.quotient))
+    ring = pf.ring
+    out = [f"ring d={ring.nvars} char={ring.field.characteristic}"]
+    if ring.relations:
+        out.append("quotient: " + "; ".join(repr(z) for z in ring.relations))
     for name, M in pf.modules.items():
         targets = "[" + ",".join(str(a) for a in M.generator_degrees) + "]"
         rels = ",".join(

@@ -346,9 +346,21 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
     noq = _write(tmp_path, "noq.prob", NO_QUOTIENT)
     capped = _write(tmp_path, "capped.prob", HYPERSURFACE + "params: hom_cap=1\n")
     negative = _write(tmp_path, "neg.prob", HYPERSURFACE + "params: imax=-1\n")
-    blob = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]},
-            "data": {"0": [[0, 0, 5]]}, "imax": -1}
-    tri = _write(tmp_path, "tri.json", json.dumps(blob))
+    deep = _write(tmp_path, "deep.prob", "ring d=1 char=32003\nideal I: "
+                  + "(" * 1000 + "x1" + ")" * 1000 + "\n")
+    good = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]}, "data": {"0": [[0, 0, 5]]}}
+    tri = _write(tmp_path, "tri.json", json.dumps({**good, "imax": -1}))
+    tri_bad = [
+        _write(tmp_path, f"tri{k}.json", text)
+        for k, text in enumerate((
+            json.dumps({**good, "imax": 2.5}),
+            json.dumps(good)[:-1] + ', "imax": 1e400}',  # parses as inf
+            json.dumps({**good, "nmax": None}),
+            json.dumps({**good, "imx": 3}),
+            json.dumps({**good, "spec": {**good["spec"], "e": 0}}),
+            json.dumps({**good, "data": {}}),
+        ))
+    ]
     grid = ["--module", "M", "--coeff", "N", "--ideal", "I"]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -365,6 +377,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
         ["verify", capped, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["sweep", negative, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["trigraded-bound", tri],
+        *(["trigraded-bound", bad] for bad in tri_bad),
+        ["reg", deep, "--module", "M"],
         ["trigraded-bound", tri, "--nmax", "-1"],
         ["reg", hyp, "--module", "M", "--degree-cap", "-1"],
         ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--degree-cap", "-3"],
@@ -378,3 +392,52 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
         assert [l for l in lines if l.startswith("cmreg:")] == lines[-1:], (argv, lines)
         assert proc.stdout == ""
+
+
+def test_removed_output_flags_are_usage_errors(tmp_path, capsys):
+    # sweep writes --csv/--json and verify --json; neither ever read --out,
+    # and verify never read --csv
+    prob = _write(tmp_path, "red.prob", REDUCED)
+    grid = ["--module", "M", "--coeff", "N", "--ideal", "I", "--imax", "0", "--nmax", "0"]
+    for argv in (
+        ["sweep", prob, *grid, "--out", str(tmp_path / "o.csv")],
+        ["verify", prob, *grid, "--out", str(tmp_path / "o.json")],
+        ["verify", prob, *grid, "--csv", str(tmp_path / "o.csv")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: cmreg")
+        assert lines[-1].startswith("cmreg: unrecognized arguments: --")
+    assert sorted(os.listdir(tmp_path)) == ["red.prob"]
+
+
+def test_flags_beat_the_files_settings(tmp_path, capsys):
+    # one rule everywhere: the flag, else the file, else the default
+    prob = _write(tmp_path, "red.prob", REDUCED)
+    grid = ["--module", "M", "--coeff", "N", "--ideal", "I"]
+    assert main(["sweep", prob, *grid, "--imax", "1", "--nmax", "2"]) == 0
+    # header + 2 parities * 2 i * 3 n, not the params' 4 i * 5 n
+    assert len(capsys.readouterr().out.splitlines()) == 13
+    out = str(tmp_path / "v.json")
+    assert main(["verify", prob, *grid, "--imax", "0", "--nmax", "1", "--json", out]) == 0
+    assert len(json.loads(open(out).read())["cells"]) == 4
+    capped = _write(tmp_path, "capped.prob", REDUCED.replace("candidates=I", "degree_cap=1"))
+    small = grid + ["--imax", "1", "--nmax", "1"]
+    assert main(["sweep", capped, *small]) == 2
+    assert main(["sweep", capped, *small, "--degree-cap", "40"]) == 0
+    assert main(["sweep", prob, *small, "--degree-cap", "1"]) == 2
+    capsys.readouterr()
+    blob = {
+        "spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]},
+        "data": {"0": [[0, 0, 5]]}, "imax": 3, "nmax": 3,
+    }
+    data = _write(tmp_path, "tri.json", json.dumps(blob))
+    assert main(["trigraded-bound", data, "--imax", "1", "--nmax", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["imax"], payload["nmax"]) == (1, 1)
+    assert payload["bound"] == [[5, 8], [7, 10]]
+    assert main(["trigraded-bound", data]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["imax"], payload["nmax"]) == (3, 3)

@@ -27,7 +27,7 @@ params: imax=3 nmax=4 candidates=I
 
 def test_parse_example():
     pf = parse_problem(EXAMPLE)
-    assert pf.d == 2 and pf.char == 32003
+    assert pf.ring.nvars == 2 and pf.ring.field.characteristic == 32003
     assert isinstance(pf.ring, QuotientRing)
     assert [str(z) for z in pf.ring.relations] == ["x1*x2"]
     M = pf.module("M")
@@ -47,7 +47,7 @@ def test_pretty_print_round_trip():
     again = parse_problem(text)
     assert pretty_print(again) == text
     # semantic equality of the reparsed problem
-    assert again.d == pf.d and again.char == pf.char
+    assert again.ring == pf.ring
     assert again.module("M").cover.twists == pf.module("M").cover.twists
     assert again.params == pf.params
 
