@@ -257,7 +257,7 @@ def cmd_sweep(args):
     if args.csv:
         _emit(_table_csv(T), args.csv)
     if args.json:
-        _emit(json.dumps(_table_json(T, args.rho), indent=1) + "\n", args.json)
+        _emit(json.dumps(_table_json(T), indent=1) + "\n", args.json)
     if not args.csv and not args.json:
         sys.stdout.write(_table_csv(T))
     return 0
@@ -407,11 +407,11 @@ def build_parser() -> _Parser:
         sp.add_argument(
             "--variant", choices=("power", "quotient", "both"), default="power"
         )
-        sp.add_argument("--rho", type=int, default=None, help="rho upper bound")
         sp.add_argument("--json", default=None)
         if name == "sweep":
             sp.add_argument("--csv", default=None)
         else:
+            sp.add_argument("--rho", type=int, default=None, help="rho upper bound")
             sp.add_argument("--f", type=int, default=None)
             sp.add_argument("--const", type=int, default=None)
         sp.set_defaults(fn=fn)

@@ -32,8 +32,9 @@ class ReductionPreconditionError(CmregError):
     """A candidate reduction ideal is not contained in the target ideal."""
 
 
-class ProblemSyntaxError(CmregError):
-    """Problem file failed to tokenize/parse; carries position info."""
+class ProblemSyntaxError(CmregError, ValueError):
+    """Problem-file or polynomial text failed to parse at line:column; a
+    ValueError too, as parse_poly promises."""
 
     def __init__(self, message, line, column, expected=()):
         super().__init__(f"{line}:{column}: {message}")

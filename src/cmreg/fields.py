@@ -10,17 +10,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+#: Miller-Rabin with the first 13 primes as bases decides primality exactly
+#: below _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson
+#: and Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: characteristics must be below {_MR_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(
+        pow(b, d, n) == 1 or n - 1 in (pow(b, d << r, n) for r in range(s))
+        for b in _MR_BASES
+    )
 
 
 class RationalField:

@@ -8,22 +8,22 @@
     ideal J: unit
     params: imax=3 nmax=4 degree_cap=40 candidates=I,J
 
-Variables are x1..xd; polynomials use +, -, *, ^, integer or p/q
-coefficients and parentheses.  The ring line comes first, the quotient
-line before any module or ideal.  The quotient line is optional; without
-one (or with an empty one) the ring is Q itself, the quotient by the
-empty sequence, which sweep and verify reject.  Module entries and ideal
-generators are stored in canonical form in A, so pretty_print o
-parse_problem is the identity on files it emits.
-
-The params keys are imax and nmax (the sweep grid) and degree_cap, all
-integers >= 0, and candidates (extra ideals for rho_upper).  A sweep's
-homological cap is always 2*imax + 2 and is not a parameter.
+Each line is read as one rings.TokenStream of integers, names and single
+characters, with whitespace free between tokens.  Polynomials in x1..xd
+(+, -, *, ^, integer or p/q coefficients, parentheses) are read from the
+same stream in place, so a syntax error gives the line and column of the
+token it stopped at.  The ring line comes first, the optional quotient
+line before any module or ideal; without one (or with an empty one) the
+ring is Q itself, which sweep and verify reject.  Entries are stored in
+canonical form in A, so pretty_print o parse_problem is the identity on
+files it emits.  The params keys are imax, nmax (the sweep grid) and
+degree_cap, integers >= 0, and candidates, names of extra ideals for
+rho_upper.  A sweep's homological cap is 2*imax + 2, not a parameter.
 """
 
 from __future__ import annotations
 
-import re
+from functools import partial
 
 from .errors import HomogeneityError, ProblemSemanticError, ProblemSyntaxError
 from .fields import field_of_characteristic
@@ -34,9 +34,7 @@ from .freemod import (
     vec_degree,
 )
 from .rees import IdealData, unit_ideal
-from .rings import PolyRing, QuotientRing
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+from .rings import PolyRing, QuotientRing, TokenStream
 
 #: run-parameter keys accepted on the params line, in canonical print order
 PARAM_KEYS = ("imax", "nmax", "degree_cap", "candidates")
@@ -66,279 +64,147 @@ class ProblemFile:
         return self.ideals[name]
 
 
-class _Cursor:
-    """Single-line scanner that reports 1-based columns on failure."""
-
-    def __init__(self, text, lineno):
-        self.text = text
-        self.pos = 0
-        self.lineno = lineno
-
-    def col(self):
-        return self.pos + 1
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def fail(self, message, expected=()):
-        raise ProblemSyntaxError(message, self.lineno, self.col(), expected)
-
-    def literal(self, lit):
-        self.skip_ws()
-        if not self.text.startswith(lit, self.pos):
-            self.fail(f"expected {lit!r}", expected=(lit,))
-        self.pos += len(lit)
-
-    def name(self):
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a name", expected=("name",))
-        self.pos = m.end()
-        return m.group(0)
-
-    def integer(self):
-        self.skip_ws()
-        m = re.compile(r"-?\d+").match(self.text, self.pos)
-        if not m:
-            self.fail("expected an integer", expected=("integer",))
-        self.pos = m.end()
-        return int(m.group(0))
-
-    def until(self, stops):
-        """Consume to the next top-level occurrence of a stop character
-        (depth-aware for brackets and parens); returns the slice."""
-        self.skip_ws()
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in "[(":
-                depth += 1
-            elif ch in "])":
-                if depth == 0 and ch in stops:
-                    break
-                depth -= 1
-                if depth < 0:
-                    self.fail("unbalanced bracket")
-            elif depth == 0 and ch in stops:
-                break
-            self.pos += 1
-        return self.text[start:self.pos].strip()
+def _separated(ts, read, sep):
+    """read() once, then once more after each sep."""
+    items = [read()]
+    while ts.accept(sep):
+        items.append(read())
+    return items
 
 
-def _split_top(text, sep, lineno, col0):
-    """Split text on top-level sep, tracking bracket depth."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-            if depth < 0:
-                raise ProblemSyntaxError("unbalanced bracket", lineno, col0)
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
-def _bracket_list(cur: _Cursor):
-    """Consume [item, item, ...] and return the raw item strings."""
-    cur.literal("[")
-    inner = cur.until("]")
-    cur.literal("]")
-    if not inner:
+def _bracketed(ts, read):
+    """[item, ...] with each item read by read(); [] is empty."""
+    ts.expect("[")
+    if ts.accept("]"):
         return []
-    return _split_top(inner, ",", cur.lineno, cur.col())
+    items = _separated(ts, read, ",")
+    ts.expect("]")
+    return items
 
 
-def _parse_entry(text, ring, lineno):
-    """One polynomial in canonical A-form, with errors tied to the line."""
-    if not text:
-        raise ProblemSyntaxError("empty polynomial", lineno, 1)
+def _entry(ts, ring):
+    """One polynomial of the line, in canonical form in ring."""
+    start = ts.col()
     try:
-        return ring.poly(text)
+        return ring.normal_form(ts.poly(ring.base))
     except HomogeneityError as exc:
-        raise ProblemSemanticError(f"inhomogeneous polynomial {text!r}: {exc}", lineno)
-    except ValueError as exc:
-        raise ProblemSyntaxError(f"bad polynomial {text!r}: {exc}", lineno, 1)
-    except RecursionError:
-        raise ProblemSyntaxError("polynomial nested too deeply", lineno, 1) from None
+        text = ts.text[start - 1 : ts.col() - 1].rstrip()
+        raise ProblemSemanticError(f"inhomogeneous polynomial {text!r}: {exc}", ts.line)
 
 
 def parse_problem(text: str) -> ProblemFile:
     base = ring = None
-    quotient = []
     modules = {}
     ideals = {}
     params = {}
     names = set()
-    seen_quotient = False
+    once = set()
     params_line = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
-        cur = _Cursor(line, lineno)
-        word = cur.name()
+        ts = TokenStream(line, lineno)
+        col = ts.col()
+        word = ts.name()
+        if ring is None and word != "ring":
+            raise ProblemSyntaxError(
+                "the ring line must come first", lineno, col, expected=("ring",)
+            )
+        if word in ("ring", "quotient", "params"):
+            if word in once:
+                raise ProblemSemanticError(f"duplicate {word} line", lineno)
+            once.add(word)
+        if word in ("module", "ideal"):
+            name = ts.name()
+            if name in names:
+                raise ProblemSemanticError(f"duplicate name {name!r}", lineno)
+            names.add(name)
+            ts.expect(":")
+            entry = partial(_entry, ts, ring)
 
         if word == "ring":
-            if ring is not None:
-                raise ProblemSemanticError("duplicate ring line", lineno)
-            cur.literal("d")
-            cur.literal("=")
-            d = cur.integer()
-            cur.literal("char")
-            cur.literal("=")
-            char = cur.integer()
-            if not cur.at_end():
-                cur.fail("trailing text after ring line")
+            ts.expect("d", "=")
+            d = ts.integer()
+            ts.expect("char", "=")
+            char = ts.integer()
             if d < 1:
                 raise ProblemSemanticError("need d >= 1", lineno)
             try:
                 field = field_of_characteristic(char)
             except ValueError as exc:
                 raise ProblemSemanticError(str(exc), lineno)
-            base = PolyRing(d, field)
-            ring = base
-            continue
-
-        if ring is None:
-            raise ProblemSyntaxError(
-                "the ring line must come first", lineno, 1, expected=("ring",)
-            )
-
-        if word == "quotient":
-            if seen_quotient:
-                raise ProblemSemanticError("duplicate quotient line", lineno)
+            base = ring = PolyRing(d, field)
+        elif word == "quotient":
             if modules or ideals:
                 raise ProblemSemanticError(
                     "quotient must precede modules and ideals", lineno
                 )
-            seen_quotient = True
-            cur.literal(":")
-            rest = line[cur.pos:].strip()
-            if rest:
-                for piece in _split_top(rest, ";", lineno, cur.col()):
-                    quotient.append(_parse_entry(piece, base, lineno))
-            if quotient:
+            ts.expect(":")
+            if ts.peek():
+                quotient = _separated(ts, partial(_entry, ts, base), ";")
                 try:
                     ring = QuotientRing(base, quotient)
                 except ValueError as exc:
                     raise ProblemSemanticError(str(exc), lineno)
-            continue
-
-        if word == "module":
-            name = cur.name()
-            if name in names:
-                raise ProblemSemanticError(f"duplicate name {name!r}", lineno)
-            names.add(name)
-            cur.literal(":")
-            cur.literal("targets")
-            targets = []
-            for item in _bracket_list(cur):
-                try:
-                    targets.append(int(item))
-                except ValueError:
-                    raise ProblemSyntaxError(
-                        f"bad twist {item!r}", lineno, cur.col(), expected=("integer",)
-                    )
-            cur.literal(";")
-            cur.literal("relations")
-            items = _bracket_list(cur)
-            if not cur.at_end():
-                cur.fail("trailing text after relations")
-            cover = GradedFreeModule(ring, tuple(targets))
-            cols = []
+        elif word == "module":
+            ts.expect("targets")
+            targets = tuple(_bracketed(ts, ts.integer))
+            ts.expect(";", "relations")
+            cols = _bracketed(ts, partial(_bracketed, ts, entry))
+            cover = GradedFreeModule(ring, targets)
             src_twists = []
-            for item in items:
-                if not (item.startswith("[") and item.endswith("]")):
-                    raise ProblemSyntaxError(
-                        "each relation is a [..] vector", lineno, cur.col()
-                    )
-                vec_text = _split_top(item[1:-1], ",", lineno, cur.col())
-                if len(vec_text) != len(targets):
+            for vec in cols:
+                if len(vec) != len(targets):
                     raise ProblemSemanticError(
-                        f"relation has {len(vec_text)} entries, expected "
-                        f"{len(targets)}", lineno
+                        f"relation has {len(vec)} entries, expected {len(targets)}",
+                        lineno,
                     )
-                col = tuple(_parse_entry(t, ring, lineno) for t in vec_text)
                 try:
-                    deg = vec_degree(cover, col)
+                    deg = vec_degree(cover, vec)
                 except HomogeneityError as exc:
                     raise ProblemSemanticError(str(exc), lineno)
                 if deg is None:
                     raise ProblemSemanticError("zero relation vector", lineno)
-                cols.append(col)
                 src_twists.append(deg)
             modules[name] = ModulePresentation(
                 map_from_columns(tuple(src_twists), cover, cols)
             )
-            continue
-
-        if word == "ideal":
-            name = cur.name()
-            if name in names:
-                raise ProblemSemanticError(f"duplicate name {name!r}", lineno)
-            names.add(name)
-            cur.literal(":")
-            rest = line[cur.pos:].strip()
-            if rest == "unit":
+        elif word == "ideal":
+            if ts.accept("unit"):
                 ideals[name] = unit_ideal(ring)
-                continue
-            if not rest:
-                raise ProblemSyntaxError(
-                    "ideal needs generators or 'unit'", lineno, cur.col(),
-                    expected=("polynomial", "unit"),
+            elif not ts.peek():
+                raise ts.error(
+                    "ideal needs generators or 'unit'", expected=("polynomial", "unit")
                 )
-            gens = [
-                _parse_entry(t, ring, lineno)
-                for t in _split_top(rest, ",", lineno, cur.col())
-            ]
-            ideals[name] = IdealData(ring, gens)
-            continue
-
-        if word == "params":
-            if params_line is not None:
-                raise ProblemSemanticError("duplicate params line", lineno)
+            else:
+                ideals[name] = IdealData(ring, _separated(ts, entry, ","))
+        elif word == "params":
             params_line = lineno
-            cur.literal(":")
-            while not cur.at_end():
-                key = cur.name()
+            ts.expect(":")
+            while ts.peek():
+                key = ts.name()
                 if key not in PARAM_KEYS:
                     raise ProblemSemanticError(
                         f"unknown parameter {key!r} (known: {', '.join(PARAM_KEYS)})",
                         lineno,
                     )
-                cur.literal("=")
+                ts.expect("=")
                 if key == "candidates":
-                    rest = cur.until(" ")
-                    cands = [c for c in rest.split(",") if c]
-                    params[key] = tuple(cands)
+                    params[key] = tuple(_separated(ts, ts.name, ","))
                 else:
-                    params[key] = cur.integer()
+                    params[key] = ts.integer()
                     if params[key] < 0:
                         raise ProblemSemanticError(
                             f"parameter {key} must be >= 0", lineno
                         )
-            continue
-
-        raise ProblemSyntaxError(
-            f"unknown directive {word!r}", lineno, 1,
-            expected=("ring", "quotient", "module", "ideal", "params"),
-        )
+        else:
+            raise ProblemSyntaxError(
+                f"unknown directive {word!r}", lineno, col,
+                expected=("ring", "quotient", "module", "ideal", "params"),
+            )
+        ts.end()
 
     if ring is None:
         raise ProblemSyntaxError("missing ring line", 1, 1, expected=("ring",))

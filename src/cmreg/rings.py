@@ -1,5 +1,6 @@
-"""Polynomial rings Q = K[x1..xd], homogeneous polynomials, and graded
-quotients A = Q/(z1..zc) by a homogeneous regular sequence.
+"""Polynomial rings Q = K[x1..xd], homogeneous polynomials, graded
+quotients A = Q/(z1..zc) by a homogeneous regular sequence, and the token
+stream that reads polynomial and problem-file text.
 
 Monomials are dense exponent tuples (every variable has degree 1).  A
 polynomial is a sparse dict {exponent tuple: nonzero field element} together
@@ -9,9 +10,10 @@ accepted wherever any degree is expected.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
-from .errors import HomogeneityError
+from .errors import HomogeneityError, ProblemSyntaxError
 from .fields import GF32003
 
 
@@ -389,128 +391,146 @@ class QuotientRing:
         return f"{self.base}/({rels})"
 
 
-# ---------------------------------------------------------------------------
-# Tiny expression parser for polynomials in x1..xd (used by the problem-file
-# grammar and handy in tests/demos).  Raises ValueError with a character
-# offset; the problem-file layer converts that into positioned diagnostics.
-# ---------------------------------------------------------------------------
+# -- polynomial text in -------------------------------------------------------
+
+#: the one token pattern of polynomials and problem files: an integer, a
+#: name, or any other single character; whitespace separates tokens
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|\S")
 
 
-def _tokenize_poly(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^/()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ValueError(f"offset {i}: variable needs an index, e.g. x1")
-            toks.append(("var", text[i:j], i))
-            i = j
-            continue
-        raise ValueError(f"offset {i}: unexpected character {ch!r}")
-    toks.append(("end", "", n))
-    return toks
+class TokenStream:
+    """One line of text as a stream of tokens, each an integer, a name or a
+    single character.  It reads polynomials itself and the problem-file
+    grammar reads the rest, so every syntax error is a ProblemSyntaxError
+    at the line and 1-based column of the token it stopped at."""
+
+    def __init__(self, text: str, line: int = 1):
+        self.text = text
+        self.line = line
+        self.tokens = [
+            (m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)
+        ]
+        self.tokens.append((None, "", len(text) + 1))
+        self.pos = 0
+        self.mixed = None
+
+    def peek(self) -> str:
+        """The current token's text; "" at the end of the line."""
+        return self.tokens[self.pos][1]
+
+    def col(self) -> int:
+        return self.tokens[self.pos][2]
+
+    def error(self, message, expected=()) -> ProblemSyntaxError:
+        return ProblemSyntaxError(message, self.line, self.col(), expected)
+
+    def accept(self, text) -> bool:
+        if self.peek() != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, *texts):
+        for text in texts:
+            if not self.accept(text):
+                raise self.error(f"expected {text!r}", expected=(text,))
+
+    def end(self):
+        if self.peek():
+            raise self.error(f"trailing text {self.peek()!r}")
+
+    def name(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name":
+            raise self.error("expected a name", expected=("name",))
+        self.pos += 1
+        return text
+
+    def natural(self) -> int:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "int":
+            raise self.error("expected an integer", expected=("integer",))
+        value = self._int(text)
+        self.pos += 1
+        return value
+
+    def _int(self, digits) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error("integer too long") from None
+
+    def integer(self) -> int:
+        """A natural number with an optional leading minus."""
+        return -self.natural() if self.accept("-") else self.natural()
+
+    def poly(self, ring: PolyRing) -> GradedPoly:
+        """Read a polynomial of ring: a signed sum of *-products of factors
+        int, int/int, x<k>, x<k>^int or (poly).  A sum of mixed degrees
+        raises HomogeneityError only once the whole polynomial is read, so
+        the caller can quote it."""
+        self.mixed = None
+        try:
+            p = self._sum(ring)
+        except RecursionError:
+            raise self.error("polynomial nested too deeply") from None
+        if self.mixed is not None:
+            raise self.mixed
+        return p
+
+    def _sum(self, ring):
+        acc, sign = ring.zero, self.peek()
+        if sign in ("+", "-"):
+            self.pos += 1
+        while True:
+            term = self._product(ring)
+            try:
+                acc = acc - term if sign == "-" else acc + term
+            except HomogeneityError as exc:
+                self.mixed = self.mixed or exc
+            sign = self.peek()
+            if sign not in ("+", "-"):
+                return acc
+            self.pos += 1
+
+    def _product(self, ring):
+        p = self._factor(ring)
+        while self.accept("*"):
+            p = p * self._factor(ring)
+        return p
+
+    def _factor(self, ring):
+        kind, text, _ = self.tokens[self.pos]
+        if self.accept("("):
+            p = self._sum(ring)
+            self.expect(")")
+            return p
+        if kind == "int":
+            F = ring.field
+            c = F(self.natural())
+            if self.accept("/"):
+                den = F(self.natural())
+                if den == F.zero:
+                    self.pos -= 1
+                    raise self.error("zero denominator")
+                c = F.div(c, den)
+            return ring.constant(c)
+        if kind == "name" and text[0] == "x" and text[1:].isdigit():
+            k = self._int(text[1:])
+            if not 1 <= k <= ring.nvars:
+                raise self.error(f"variable {text} out of range 1..{ring.nvars}")
+            self.pos += 1
+            exps = [0] * ring.nvars
+            exps[k - 1] = self.natural() if self.accept("^") else 1
+            return ring.monomial(exps)
+        raise self.error("expected a coefficient or variable")
 
 
 def parse_poly(ring: PolyRing, text: str) -> GradedPoly:
-    """Parse e.g. '2*x1^2*x2 - x2^3 + 1/2*x1*x2^2' into a GradedPoly.
-
-    The result must be homogeneous (or zero); mixed degrees raise
-    HomogeneityError.
-    """
-    toks = _tokenize_poly(text)
-    pos = 0
-
-    def peek():
-        return toks[pos]
-
-    def take(kind=None):
-        nonlocal pos
-        t = toks[pos]
-        if kind is not None and t[0] != kind:
-            raise ValueError(f"offset {t[2]}: expected {kind}, got {t[1]!r}")
-        pos += 1
-        return t
-
-    def parse_factor():
-        kind, val, off = peek()
-        if kind == "int":
-            take()
-            num = int(val)
-            if peek()[0] == "/":
-                take()
-                den = int(take("int")[1])
-                if den == 0:
-                    raise ValueError(f"offset {off}: zero denominator")
-                if ring.field.characteristic == 0:
-                    from fractions import Fraction
-
-                    return ring.constant(Fraction(num, den))
-                return ring.constant(ring.field.div(ring.field(num), ring.field(den)))
-            return ring.constant(num)
-        if kind == "var":
-            take()
-            idx = int(val[1:])
-            if not 1 <= idx <= ring.nvars:
-                raise ValueError(
-                    f"offset {off}: variable {val} out of range 1..{ring.nvars}"
-                )
-            p = ring.variable(idx - 1)
-            if peek()[0] == "^":
-                take()
-                exp = int(take("int")[1])
-                exps = [0] * ring.nvars
-                exps[idx - 1] = exp
-                p = ring.monomial(exps)
-            return p
-        if kind == "(":
-            take()
-            p = parse_expr()
-            if peek()[0] != ")":
-                raise ValueError(f"offset {peek()[2]}: expected ')'")
-            take()
-            return p
-        raise ValueError(f"offset {off}: expected a coefficient or variable")
-
-    def parse_term():
-        p = parse_factor()
-        while peek()[0] == "*":
-            take()
-            p = p * parse_factor()
-        return p
-
-    def parse_expr():
-        sign = 1
-        if peek()[0] in "+-":
-            sign = -1 if take()[0] == "-" else 1
-        acc = parse_term()
-        if sign < 0:
-            acc = -acc
-        while peek()[0] in "+-":
-            op = take()[0]
-            t = parse_term()
-            acc = acc - t if op == "-" else acc + t
-        return acc
-
-    result = parse_expr()
-    if peek()[0] != "end":
-        raise ValueError(f"offset {peek()[2]}: trailing input {peek()[1]!r}")
-    return result
+    """Parse e.g. '2*x1^2*x2 - x2^3 + 1/2*x1*x2^2' into a GradedPoly.  Bad
+    syntax raises ProblemSyntaxError, a ValueError, at line 1 and the
+    offending column; mixed degrees raise HomogeneityError."""
+    ts = TokenStream(text)
+    p = ts.poly(ring)
+    ts.end()
+    return p

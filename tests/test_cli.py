@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,12 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
     negative = _write(tmp_path, "neg.prob", HYPERSURFACE + "params: imax=-1\n")
     deep = _write(tmp_path, "deep.prob", "ring d=1 char=32003\nideal I: "
                   + "(" * 1000 + "x1" + ")" * 1000 + "\n")
+    # denominators divisible by the characteristic, and an integer longer
+    # than int() converts
+    zero32003 = _write(tmp_path, "zero32003.prob", HYPERSURFACE + "ideal J: 1/32003*x1\n")
+    zero7 = _write(tmp_path, "zero7.prob", REDUCED.replace("char=32003", "char=7")
+                   + "ideal J: 1/14*x1\n")
+    long_int = _write(tmp_path, "long.prob", "ring d=1 char=" + "1" * 5000 + "\n")
     good = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]}, "data": {"0": [[0, 0, 5]]}}
     tri = _write(tmp_path, "tri.json", json.dumps({**good, "imax": -1}))
     tri_bad = [
@@ -379,6 +386,9 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
         ["trigraded-bound", tri],
         *(["trigraded-bound", bad] for bad in tri_bad),
         ["reg", deep, "--module", "M"],
+        ["reg", zero32003, "--module", "M"],
+        ["rho", zero7, "--module", "N", "--ideal", "I"],
+        ["reg", long_int, "--module", "M"],
         ["trigraded-bound", tri, "--nmax", "-1"],
         ["reg", hyp, "--module", "M", "--degree-cap", "-1"],
         ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--degree-cap", "-3"],
@@ -396,13 +406,14 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
 
 def test_removed_output_flags_are_usage_errors(tmp_path, capsys):
     # sweep writes --csv/--json and verify --json; neither ever read --out,
-    # and verify never read --csv
+    # verify never read --csv, and the rho bound is verify's, not sweep's
     prob = _write(tmp_path, "red.prob", REDUCED)
     grid = ["--module", "M", "--coeff", "N", "--ideal", "I", "--imax", "0", "--nmax", "0"]
     for argv in (
         ["sweep", prob, *grid, "--out", str(tmp_path / "o.csv")],
         ["verify", prob, *grid, "--out", str(tmp_path / "o.json")],
         ["verify", prob, *grid, "--csv", str(tmp_path / "o.csv")],
+        ["sweep", prob, *grid, "--rho", "5"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -411,6 +422,15 @@ def test_removed_output_flags_are_usage_errors(tmp_path, capsys):
         assert lines[0].startswith("usage: cmreg")
         assert lines[-1].startswith("cmreg: unrecognized arguments: --")
     assert sorted(os.listdir(tmp_path)) == ["red.prob"]
+
+
+def test_composite_characteristic_exits_1_at_once(tmp_path, capsys):
+    # 1000000007 * 1000000009: trial division would run for minutes
+    prob = _write(tmp_path, "huge.prob", "ring d=1 char=1000000016000000063\n")
+    start = time.perf_counter()
+    assert main(["reg", prob, "--module", "M"]) == 1
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "cmreg: line 1: 1000000016000000063 is not prime\n"
 
 
 def test_flags_beat_the_files_settings(tmp_path, capsys):

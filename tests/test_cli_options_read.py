@@ -29,15 +29,14 @@ TRIGRADED = {
 GRID = ["--module", "M", "--coeff", "N", "--ideal", "I", "--imax", "0", "--nmax", "0"]
 
 #: subcommand -> arguments after the input file; each must run to exit 0
-#: and take every branch that reads an option (sweep reads --rho only for
-#: its JSON output)
+#: and take every branch that reads an option
 ARGV = {
     "resolve": ["--module", "M"],
     "reg": ["--module", "M"],
     "ext": ["--module", "M", "--coeff", "N", "--index", "1"],
     "tor": ["--module", "M", "--coeff", "N", "--index", "1"],
     "rho": ["--module", "N", "--ideal", "I"],
-    "sweep": [*GRID, "--json", "out.json"],
+    "sweep": GRID,
     "verify": GRID,
     "trigraded-bound": ["--imax", "0", "--nmax", "0"],
 }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_signed_poly
 from cmreg.errors import HomogeneityError
-from cmreg.fields import GF32003, QQ, PrimeField
+from cmreg.fields import GF32003, QQ, PrimeField, _is_prime
 from cmreg.rings import PolyRing, QuotientRing, parse_poly
 
 
@@ -22,6 +22,34 @@ def test_field_arithmetic():
     assert QQ.inv(QQ(4)) == QQ(1) / 4
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def _is_prime_by_trial_division(n):
+    """The trial division cmreg.fields used before Miller-Rabin: the
+    reference for small n."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_prime_fields_take_primes_only():
+    for p in (2, 3, 32003, 1000000007, 2**61 - 1):
+        assert PrimeField(p).characteristic == p
+    # Carmichael numbers fool the Fermat test, and trial division would take
+    # minutes on 1000000007 * 1000000009
+    for n in (561, 1105, 41041, 1000000007 * 1000000009, 0, 1, -7):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**89 - 1)
+    assert [_is_prime(n) for n in range(20000)] == [
+        _is_prime_by_trial_division(n) for n in range(20000)
+    ]
 
 
 def test_parse_and_print_terms():
