@@ -36,6 +36,8 @@ class RationalField:
     characteristic = 0
 
     def __call__(self, x):
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float, not an exact rational")
         return Fraction(x)
 
     @property
@@ -66,6 +68,11 @@ class RationalField:
     def div(self, a, b):
         return Fraction(a) / b
 
+    def sub_row(self, row, f, support):
+        """row[j] -= f * y for each (j, y) in support, in place."""
+        for j, y in support:
+            row[j] = row[j] - f * y
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -86,7 +93,11 @@ class PrimeField:
         self.characteristic = p
 
     def __call__(self, x):
-        return int(x) % self.p
+        """The image of an exact rational, if p does not divide its denominator."""
+        if type(x) is int:
+            return x % self.p
+        x = QQ(x)
+        return x.numerator * self.inv(x.denominator) % self.p
 
     @property
     def zero(self):
@@ -116,6 +127,12 @@ class PrimeField:
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p
+
+    def sub_row(self, row, f, support):
+        """row[j] -= f * y for each (j, y) in support, in place."""
+        p = self.p
+        for j, y in support:
+            row[j] = (row[j] - f * y) % p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -11,7 +11,7 @@ is the quotient by the empty sequence, so nothing here asks which it is.
 from __future__ import annotations
 
 from .errors import HomogeneityError
-from .rings import GradedPoly, PolyRing
+from .rings import GradedPoly, PolyRing, monomial_mul
 
 #: Regularity of the zero module.
 NEG_INF = float("-inf")
@@ -137,20 +137,31 @@ def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
 
     Each generator of degree t is multiplied by all degree-(s-t) monomials
     (standard monomials over a quotient ring) and written in coordinates.
+    Over Q a multiple's coordinates are its generator's, moved to the
+    product monomials; over a quotient they are those of its normal form.
     """
     if basis is None:
         basis = piece_basis(F, s)
     index = {be: i for i, be in enumerate(basis)}
+    zero = F.base.field.zero
+    monomials = {}
     rows = []
     for g in gens:
         d = vec_degree(F, g)
         if d is None or d > s:
             continue
-        for e in F.ring.std_monomials_of_degree(s - d):
-            row = [F.base.field.zero] * len(basis)
-            for k, p in enumerate(vec_reduce_entries(F, vec_mul_term(g, e, 1))):
-                for m, c in p.terms.items():
-                    row[index[(k, m)]] = c
+        if s - d not in monomials:
+            monomials[s - d] = F.ring.std_monomials_of_degree(s - d)
+        for e in monomials[s - d]:
+            row = [zero] * len(basis)
+            if F.ring.relations:
+                for k, p in enumerate(vec_reduce_entries(F, vec_mul_term(g, e, 1))):
+                    for m, c in p.terms.items():
+                        row[index[(k, m)]] = c
+            else:
+                for k, p in enumerate(g):
+                    for m, c in p.terms.items():
+                        row[index[(k, monomial_mul(m, e))]] = c
             rows.append(row)
     return rows
 

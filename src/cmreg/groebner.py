@@ -10,6 +10,16 @@ be homogeneous in the twisted sense.  The term order is position-over-term:
 positions are ranked by ascending twist (ties by index), earlier rank wins
 outright, and within a position the ring's monomial order applies.
 
+Inside this module a monomial is packed into one int, a 16-bit field per
+variable with x_d most significant.  All terms at one position of a
+twisted-homogeneous vector have one degree, where degrevlex is revlex from
+x_d down: the greatest term is the smallest int, and a product or quotient
+is one add or subtract.  Exponents stay below 2^15, so the top bit of each
+field is a guard: b divides a iff ((a + G) - b) & G == G for the guard bits
+G.  Mixed twisted degrees raise HomogeneityError and entry degrees of 2^15
+or more DegreeCapExceeded, instead of mis-ordering.  Public signatures and
+GroebnerBasis fields keep exponent tuples.
+
 Every basis comes from one degree-ordered Buchberger loop, whose heap holds
 the inputs as well as the S-pairs.  Its bases are minimal and monic but not
 tail-reduced, and they record which inputs entered; minimal_generators reads
@@ -28,6 +38,7 @@ Groebner bases carry no expression data.
 from __future__ import annotations
 
 import heapq
+import struct
 
 from .errors import DegreeCapExceeded
 from .freemod import (
@@ -38,27 +49,56 @@ from .freemod import (
     vec_degree,
     vec_is_zero,
     vec_reduce_entries,
-    vec_scale,
 )
-from .rings import (
-    monomial_degree,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .rings import GradedPoly
 
 DEFAULT_DEGREE_CAP = 40
+
+#: entry degrees (hence exponents) must stay below this to be packed
+PACKED_DEGREE_LIMIT = 1 << 15
+
+
+class Packing:
+    """Exponent tuples of nvars variables as ints: x_i in bits 16(i-1) up to
+    16i, the top bit of each field left clear as its guard."""
+
+    __slots__ = ("nvars", "guard", "_struct")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.guard = int.from_bytes(b"\x00\x80" * nvars, "little")
+        self._struct = struct.Struct(f"<{nvars}H")
+
+    def pack(self, exps) -> int:
+        return int.from_bytes(self._struct.pack(*exps), "little")
+
+    def unpack(self, key: int):
+        return self._struct.unpack(key.to_bytes(2 * self.nvars, "little"))
+
+    def divides(self, b: int, a: int) -> bool:
+        return ((a + self.guard) - b) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a + self.guard) - b) & self.guard  # guards of the fields where a >= b
+        mask = ge - (ge >> 15)  # those fields' exponent bits
+        return (a & mask) | (b & ~mask)
+
+
+def _check_packable(ambient: GradedFreeModule, degree):
+    """Raise unless a vector of this degree (None: zero) packs every entry."""
+    if degree is not None and degree - min(ambient.twists) >= PACKED_DEGREE_LIMIT:
+        raise DegreeCapExceeded(f"degree {degree} overflows a packed monomial", degree)
 
 
 class ModuleOrder:
     """Position-over-term order on a graded free module.
 
-    seniority[k] = 0 marks the greatest position.  The default ranking is by
-    (twist, index) ascending; elimination orders pass an explicit ranking.
+    seniority[k] = 0 marks the greatest position, and priority lists the
+    positions greatest first.  The default ranking is by (twist, index)
+    ascending; elimination orders pass an explicit ranking.
     """
 
-    __slots__ = ("ambient", "seniority", "mono_key")
+    __slots__ = ("ambient", "priority", "seniority", "mono_key", "packing")
 
     def __init__(self, ambient: GradedFreeModule, position_priority=None):
         self.ambient = ambient
@@ -66,8 +106,10 @@ class ModuleOrder:
             position_priority = sorted(
                 range(ambient.rank), key=lambda k: (ambient.twists[k], k)
             )
+        self.priority = tuple(position_priority)
         self.seniority = {k: i for i, k in enumerate(position_priority)}
         self.mono_key = ambient.base.order_key
+        self.packing = Packing(ambient.base.nvars)
 
     def term_key(self, k, exps):
         return (-self.seniority[k], self.mono_key(exps))
@@ -97,7 +139,7 @@ class GroebnerBasis:
     order they entered; every other input reduced to zero.
     """
 
-    __slots__ = ("ambient", "order", "elements", "leading_terms", "kept")
+    __slots__ = ("ambient", "order", "elements", "leading_terms", "kept", "_divisors")
 
     def __init__(self, ambient, order, elements, leading_terms, kept=()):
         self.ambient = ambient
@@ -105,6 +147,7 @@ class GroebnerBasis:
         self.elements = elements
         self.leading_terms = leading_terms
         self.kept = kept
+        self._divisors = None
 
     def __len__(self):
         return len(self.elements)
@@ -112,54 +155,84 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
+    def divisors(self):
+        """_reduce's divisor table, built on first use: position -> [(packed
+        leading monomial, coefficient, packed element)] in list order."""
+        if self._divisors is None:
+            pack = self.order.packing.pack
+            self._divisors = {}
+            for g, (k, e, c) in zip(self.elements, self.leading_terms):
+                elem = [(m, t) for m, t in enumerate(_packed(g, pack)) if t]
+                self._divisors.setdefault(k, []).append((pack(e), c, elem))
+        return self._divisors
 
-def _accumulator(vec):
-    """A mutable copy of vec: one {exps: coeff} dict per position."""
-    return [dict(p.terms) for p in vec]
+
+def _packed(vec, pack):
+    """A mutable packed copy of vec: one {monomial: coeff} dict per position.
+    A packed element keeps only the (position, dict) pairs of nonzero ones."""
+    return [{pack(e): c for e, c in p.terms.items()} for p in vec]
 
 
-def _sub_multiple(acc, g, exps, c, field):
-    """acc -= c * x^exps * g, in place and only on the support of g."""
-    zero = field.zero
-    for d, p in zip(acc, g):
-        for e, x in p.terms.items():
-            m = monomial_mul(e, exps)
-            y = field.sub(d.get(m, zero), field.mul(c, x))
+def _unpacked(elem, ambient, degree, unpack):
+    """The vector of degree `degree` with packed entries (position, terms)."""
+    ring = ambient.base
+    out = [ring.zero] * ambient.rank
+    for k, terms in elem:
+        if terms:
+            poly = {unpack(e): c for e, c in terms.items()}
+            out[k] = GradedPoly(ring, poly, degree - ambient.twists[k])
+    return tuple(out)
+
+
+def _sub_multiple(acc, g, q, c, field):
+    """acc -= c * x^q * g for a packed element g and monomial q, in place and
+    only on the support of g."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    for k, terms in g:
+        d = acc[k]
+        for e, x in terms.items():
+            m = e + q
+            y = sub(d.get(m, zero), mul(c, x))
             if y == zero:
                 del d[m]
             else:
                 d[m] = y
 
 
-def _reduce(acc, elements, lts, order):
-    """Full normal form (remainder) of the accumulator acc, which is consumed,
-    against (elements, lts).  Positions are cleared most senior first, since
-    no divisor of a term at position k touches a more senior position.
-    Divisor ties go to the earliest element in list order."""
-    ring = order.ambient.base
-    divisors = {}
-    for g, (gk, ge, gc) in zip(elements, lts):
-        divisors.setdefault(gk, []).append((ge, gc, g))
-    remainder = [ring.zero] * len(acc)
-    for k in sorted(range(len(acc)), key=order.seniority.__getitem__):
-        d, rem = acc[k], {}
+def _reduce(acc, divisors, order):
+    """Full normal form (remainder) of the packed accumulator acc, which is
+    consumed, against a divisor table as GroebnerBasis.divisors returns it.
+    Positions are cleared most senior first, since no divisor of a term at
+    position k touches a more senior position.  Divisor ties go to the
+    earliest element in list order.  Returns (remainder, lead): one dict per
+    position, and the remainder's greatest term (position, monomial,
+    coefficient) or None when it is zero."""
+    field = order.ambient.base.field
+    divides = order.packing.divides
+    remainder = [{} for _ in acc]
+    lead = None
+    for k in order.priority:
+        d, rem, divs = acc[k], remainder[k], divisors.get(k, ())
         while d:
-            e = max(d, key=order.mono_key)
-            for ge, gc, g in divisors.get(k, ()):
-                if monomial_divides(ge, e):
-                    q = ring.field.div(d[e], gc)
-                    _sub_multiple(acc, g, monomial_div(e, ge), q, ring.field)
+            e = min(d)
+            for ge, gc, g in divs:
+                if divides(ge, e):
+                    _sub_multiple(acc, g, e - ge, field.div(d[e], gc), field)
                     break
             else:
                 rem[e] = d.pop(e)
-        if rem:
-            remainder[k] = ring.from_terms(rem)
-    return tuple(remainder)
+                if lead is None:
+                    lead = (k, e, rem[e])
+    return remainder, lead
 
 
 def normal_form(vec, gb: GroebnerBasis):
     """Canonical representative of vec modulo the submodule of gb."""
-    return _reduce(_accumulator(vec), gb.elements, gb.leading_terms, gb.order)
+    degree = vec_degree(gb.ambient, vec)
+    _check_packable(gb.ambient, degree)
+    packing = gb.order.packing
+    rem, _ = _reduce(_packed(vec, packing.pack), gb.divisors(), gb.order)
+    return _unpacked(enumerate(rem), gb.ambient, degree, packing.unpack)
 
 
 def buchberger(
@@ -184,6 +257,7 @@ def buchberger(
     if order is None:
         order = ModuleOrder(ambient)
     field = ambient.base.field
+    packing = order.packing
     # (degree, 0, i, j) for the S-pair of elements i < j, (degree, 1, i, g)
     # for the input g = gens[i]; the second slot puts S-pairs first
     heap = [
@@ -192,20 +266,23 @@ def buchberger(
         if not vec_is_zero(g)
     ]
     heapq.heapify(heap)
-    vecs, lts, kept = [], [], []
+    # packed elements, their (position, leading monomial) and degree, and
+    # their divisor table in the order they entered
+    elems, lts, degrees, kept, divisors = [], [], [], [], {}
     while heap:
         d, is_input, i, j = heapq.heappop(heap)
+        _check_packable(ambient, d)
         if is_input:
-            r = _reduce(_accumulator(j), vecs, lts, order)
+            acc = _packed(j, packing.pack)
         else:
-            (_, ei, _), (_, ej, _) = lts[i], lts[j]
-            lcm = monomial_lcm(ei, ej)
+            (_, ei), (_, ej) = lts[i], lts[j]
+            lcm = packing.lcm(ei, ej)
             # the S-polynomial x^a g_i - x^b g_j of two monic elements
-            s = [{} for _ in range(ambient.rank)]
-            _sub_multiple(s, vecs[i], monomial_div(lcm, ei), field.neg(field.one), field)
-            _sub_multiple(s, vecs[j], monomial_div(lcm, ej), field.one, field)
-            r = _reduce(s, vecs, lts, order)
-        if vec_is_zero(r):
+            acc = [{} for _ in range(ambient.rank)]
+            _sub_multiple(acc, elems[i], lcm - ei, field.neg(field.one), field)
+            _sub_multiple(acc, elems[j], lcm - ej, field.one, field)
+        rem, lead = _reduce(acc, divisors, order)
+        if lead is None:
             continue
         if is_input:
             kept.append(i)
@@ -213,20 +290,33 @@ def buchberger(
             raise DegreeCapExceeded(
                 f"Groebner element of degree {d} exceeds cap {cap}", d, cap
             )
-        k, e, c = order.leading_term(r)
-        for m, (mk, me, _) in enumerate(lts):
+        k, e, c = lead
+        for m, (mk, me) in enumerate(lts):
             if mk != k:
                 continue
-            ldeg = monomial_degree(monomial_lcm(me, e))
-            if ambient.rank == 1 and ldeg == monomial_degree(me) + monomial_degree(e):
+            lcm = packing.lcm(me, e)
+            if ambient.rank == 1 and lcm == me + e:
                 continue
-            heapq.heappush(heap, (ldeg + ambient.twists[k], 0, m, len(vecs)))
-        vecs.append(vec_scale(r, field.inv(c)))
-        lts.append((k, e, field.one))
+            s_degree = sum(packing.unpack(lcm)) + ambient.twists[k]
+            heapq.heappush(heap, (s_degree, 0, m, len(elems)))
+        inv = field.inv(c)
+        elems.append(
+            [(m, {x: field.mul(inv, y) for x, y in t.items()})
+             for m, t in enumerate(rem) if t]
+        )
+        lts.append((k, e))
+        degrees.append(d)
+        divisors.setdefault(k, []).append((e, field.one, elems[-1]))
 
-    final = sorted(range(len(vecs)), key=lambda i: order.term_key(*lts[i][:2]))
+    unpack = packing.unpack
+    leading = [(k, unpack(e), field.one) for k, e in lts]
+    final = sorted(range(len(elems)), key=lambda i: order.term_key(*leading[i][:2]))
     return GroebnerBasis(
-        ambient, order, [vecs[i] for i in final], [lts[i] for i in final], kept
+        ambient,
+        order,
+        [_unpacked(elems[i], ambient, degrees[i], unpack) for i in final],
+        [leading[i] for i in final],
+        kept,
     )
 
 

@@ -24,7 +24,7 @@ from .freemod import (
     vec_degree,
 )
 from .groebner import DEFAULT_DEGREE_CAP, relation_vectors
-from .linalg import rank, reduce_vector, row_reduce
+from .linalg import echelon, rank, reduce_vector
 from .resolution import BettiTable, betti_table, resolve_over_Q
 from .rings import QuotientRing, monomial_mul
 
@@ -57,7 +57,8 @@ class GradedPieces:
 
     Each piece gets a coordinate basis (the ambient monomial basis columns
     away from the relation-rowspace pivots) plus multiplication maps by the
-    variables, all through row reduction.
+    variables, all through one forward echelon form per piece: reducing
+    against it leaves the same residual as against the reduced form.
     """
 
     def __init__(self, M: ModulePresentation, lo: int, hi: int):
@@ -71,7 +72,7 @@ class GradedPieces:
         self.hi = hi
         self._amb = {}
         self._amb_index = {}
-        self._rref = {}
+        self._echelon = {}
         self._free_cols = {}
         self._mult = {}
         F = M.cover
@@ -79,11 +80,11 @@ class GradedPieces:
         for s in range(lo, hi + 1):
             basis = piece_basis(F, s)
             rows = span_matrix(F, cols, s, basis)
-            rref, piv = row_reduce(rows, self.field)
+            ech, piv = echelon(rows, self.field)
             pivset = set(piv)
             self._amb[s] = basis
             self._amb_index[s] = {be: i for i, be in enumerate(basis)}
-            self._rref[s] = (rref, piv)
+            self._echelon[s] = (ech, piv)
             self._free_cols[s] = [c for c in range(len(basis)) if c not in pivset]
 
     def dim(self, s: int) -> int:
@@ -105,8 +106,8 @@ class GradedPieces:
             k, e = self._amb[s][c]
             amb = [self.field.zero] * len(self._amb[s + 1])
             amb[self._amb_index[s + 1][(k, monomial_mul(e, step))]] = self.field.one
-            rref, piv = self._rref[s + 1]
-            red = reduce_vector(amb, rref, piv, self.field)
+            ech, piv = self._echelon[s + 1]
+            red = reduce_vector(amb, ech, piv, self.field)
             cols.append([red[i] for i in self._free_cols[s + 1]])
         out = [[cols[c][r] for c in range(n_src)] for r in range(n_tgt)]
         self._mult[key] = out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from operator import add
 
 from .errors import HomogeneityError, ProblemSyntaxError
 from .fields import GF32003
@@ -22,7 +23,7 @@ def monomial_degree(exps) -> int:
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b) -> bool:

@@ -4,8 +4,16 @@ import importlib
 import random
 from collections import Counter
 
-from helpers import cyclic_quotient, random_presentation
+from helpers import (
+    ci3_setup,
+    cyclic_quotient,
+    hypersurface_setup,
+    random_presentation,
+    reduced_hypersurface_setup,
+    two_relation_setup,
+)
 from cmreg.fields import GF32003, QQ
+from cmreg.freemod import piece_basis, presentation_hilbert
 from cmreg.regularity import betti_oracle, present_over_Q
 from cmreg.resolution import betti_table, resolve_over_Q
 from cmreg.rings import PolyRing, QuotientRing
@@ -76,3 +84,42 @@ def test_oracle_builds_each_koszul_matrix_once(monkeypatch):
     lo, hi = table.window
     assert set(built) == {(i, j) for i in range(5) for j in range(lo, hi + 1)}
     assert table == _resolution_betti(M)
+
+
+def _ci3_sweep_ext_modules(monkeypatch):
+    """The Ext modules whose regularity a ci3 sweep at i_max = n_max = 1
+    computes."""
+    sweeps = importlib.import_module("cmreg.sweeps")
+    seen = []
+    real = sweeps.regularity
+
+    def recording(E, **kwargs):
+        seen.append(E)
+        return real(E, **kwargs)
+
+    monkeypatch.setattr(sweeps, "regularity", recording)
+    A, M, N, I = ci3_setup()
+    sweeps.sweep(M, N, I, i_max=1, n_max=1)
+    return seen
+
+
+def test_resolution_euler_characteristic(seed, monkeypatch):
+    # sum_i (-1)^i dim (F_i)_s = dim M_s on the oracle's window: exactness of
+    # the minimal resolution over Q, against the Hilbert function by rank
+    rng = random.Random(seed)
+    Q3 = PolyRing(3, GF32003)
+    modules = [random_presentation(rng, Q3) for _ in range(6)]
+    modules += _ci3_sweep_ext_modules(monkeypatch)
+    for setup in (hypersurface_setup, two_relation_setup, reduced_hypersurface_setup):
+        A, M, N, I = setup()
+        modules += [M, N]
+    assert len(modules) > 12
+    for M in modules:
+        R = resolve_over_Q(present_over_Q(M))
+        window = betti_oracle(M).window
+        if window is None:  # the zero module
+            assert not any(F.rank for F in R.modules)
+            continue
+        for s in range(window[0], window[1] + 1):
+            chi = sum((-1) ** i * len(piece_basis(F, s)) for i, F in enumerate(R.modules))
+            assert chi == presentation_hilbert(M, s), (M, s)

@@ -58,10 +58,32 @@ def _reference_reduce(vec, elements, lts, order):
     return tuple(ring.from_terms(t) if t else ring.zero for t in remainder_terms)
 
 
-def _reference_on_accumulator(acc, elements, lts, order):
-    ring = order.ambient.base
-    vec = tuple(ring.from_terms(d) for d in acc)
-    return _reference_reduce(vec, elements, lts, order)
+def _reference_on_accumulator(acc, divisors, order):
+    """groebner._reduce's packed interface over the tuple reference: the
+    accumulator and the divisor table are unpacked, the reference reduces,
+    and its remainder and leading term are packed again.  Flattening the
+    table position by position keeps each position's list order, which is
+    all the divisor choice reads."""
+    ambient, packing = order.ambient, order.packing
+    ring = ambient.base
+
+    def vector(entries):
+        out = [ring.zero] * ambient.rank
+        for k, terms in entries:
+            out[k] = ring.from_terms({packing.unpack(e): c for e, c in terms.items()})
+        return tuple(out)
+
+    vec = vector(enumerate(acc))
+    elements, lts = [], []
+    for k, divs in divisors.items():
+        for ge, gc, g in divs:
+            elements.append(vector(g))
+            lts.append((k, packing.unpack(ge), gc))
+    r = _reference_reduce(vec, elements, lts, order)
+    lead = order.leading_term(r)
+    if lead is not None:
+        lead = (lead[0], packing.pack(lead[1]), lead[2])
+    return [{packing.pack(e): c for e, c in p.terms.items()} for p in r], lead
 
 
 def _random_vector(rng, F, degree):

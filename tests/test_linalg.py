@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cmreg.fields import GF32003, QQ, PrimeField
 from cmreg.linalg import (
+    echelon,
     in_row_span,
     rank,
     reduce_vector,
@@ -137,9 +138,17 @@ def test_row_reduce_matches_dense_reference(case):
     assert [[type(x) for x in r] for r in rref] == [
         [type(x) for x in r] for r in ref_rref
     ]
+    # the forward pass alone: the same pivots, each row with a unit pivot
+    # and zeros to its left
+    ech, ech_pivots = echelon(rows, field)
+    assert ech_pivots == pivots
+    for row, c in zip(ech, ech_pivots):
+        assert row[c] == field.one
+        assert all(x == field.zero for x in row[:c])
     for vec in rows + [probe]:
         got = reduce_vector(vec, rref, pivots, field)
         assert got == _reference_reduce_vector(vec, rref, pivots, field)
+        assert reduce_vector(vec, ech, ech_pivots, field) == got
     assert rows == before
 
 
@@ -164,4 +173,11 @@ def test_row_reduce_matches_reference_on_larger_sparse_matrices(seed):
                  for _ in range(ncols)]
                 for _ in range(nrows)
             ]
-            assert row_reduce(rows, field) == _reference_row_reduce(rows, field)
+            ref_rref, ref_pivots = _reference_row_reduce(rows, field)
+            assert row_reduce(rows, field) == (ref_rref, ref_pivots)
+            ech, ech_pivots = echelon(rows, field)
+            assert ech_pivots == ref_pivots
+            for vec in rows:
+                assert reduce_vector(vec, ech, ech_pivots, field) == (
+                    reduce_vector(vec, ref_rref, ref_pivots, field)
+                )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,6 +23,23 @@ def test_field_arithmetic():
     assert QQ.inv(QQ(4)) == QQ(1) / 4
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_field_coercion_is_exact():
+    F7 = PrimeField(7)
+    assert F7(Fraction(1, 2)) == 4
+    assert F7(Fraction(-3, 5)) == F7.div(F7(-3), F7(5))
+    assert F7(Fraction(14, 4)) == F7.div(7, 2) == 0
+    with pytest.raises(ZeroDivisionError):
+        F7(Fraction(1, 7))
+    for field in (F7, QQ):
+        with pytest.raises(TypeError):
+            field(2.7)
+    with pytest.raises(TypeError):
+        QQ(0.1)
+    assert QQ("1/10") == Fraction(1, 10)
+    R = PolyRing(2, F7)
+    assert R.one.scale(Fraction(1, 2)) == R.constant(4)
 
 
 def _is_prime_by_trial_division(n):
