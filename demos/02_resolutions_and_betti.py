@@ -31,10 +31,9 @@ print(betti_table(R))
 # A presentation with a redundant generator: the cover Q + Q(-1) presents
 # a free module of rank 1, because the relation x1*e1 - e2 makes the
 # second generator a multiple of the first.  resolve_over_Q(minimal=False)
-# resolves the presentation as given, unit entry and all (from step
-# nvars - 1 on the kernel is free, and it takes minimal generators, which
-# form a basis and end the resolution); minimize cancels the unit and
-# lands on the minimal resolution.
+# resolves the presentation as given, unit entry and all (every later step
+# takes minimal kernel generators, as the minimal resolution does);
+# minimize cancels the unit and lands on the minimal resolution.
 from cmreg.freemod import GradedFreeModule, GradedMap, ModulePresentation
 
 F = GradedFreeModule(Q3, (0, 1))

@@ -270,7 +270,7 @@ def _fit_json(fit):
 def cmd_verify(args):
     pf = _load(args.problem)
     T, I, N, degree_cap = _run_sweep(pf, args)
-    f = args.f if args.f is not None else T.metadata["f"]
+    f = T.metadata["f"]
     rho_value = args.rho
     if rho_value is None:
         candidates = _candidate_ideals(pf)
@@ -412,7 +412,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--csv", default=None)
         else:
             sp.add_argument("--rho", type=int, default=None, help="rho upper bound")
-            sp.add_argument("--f", type=int, default=None)
             sp.add_argument("--const", type=int, default=None)
         sp.set_defaults(fn=fn)
 

@@ -36,11 +36,10 @@ class ProblemSyntaxError(CmregError, ValueError):
     """Problem-file or polynomial text failed to parse at line:column; a
     ValueError too, as parse_poly promises."""
 
-    def __init__(self, message, line, column, expected=()):
+    def __init__(self, message, line, column):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
-        self.expected = tuple(expected)
 
 
 class ProblemSemanticError(CmregError):

@@ -109,9 +109,7 @@ def parse_problem(text: str) -> ProblemFile:
         col = ts.col()
         word = ts.name()
         if ring is None and word != "ring":
-            raise ProblemSyntaxError(
-                "the ring line must come first", lineno, col, expected=("ring",)
-            )
+            raise ProblemSyntaxError("the ring line must come first", lineno, col)
         if word in ("ring", "quotient", "params"):
             if word in once:
                 raise ProblemSemanticError(f"duplicate {word} line", lineno)
@@ -175,9 +173,7 @@ def parse_problem(text: str) -> ProblemFile:
             if ts.accept("unit"):
                 ideals[name] = unit_ideal(ring)
             elif not ts.peek():
-                raise ts.error(
-                    "ideal needs generators or 'unit'", expected=("polynomial", "unit")
-                )
+                raise ts.error("ideal needs generators or 'unit'")
             else:
                 ideals[name] = IdealData(ring, _separated(ts, entry, ","))
         elif word == "params":
@@ -200,14 +196,11 @@ def parse_problem(text: str) -> ProblemFile:
                             f"parameter {key} must be >= 0", lineno
                         )
         else:
-            raise ProblemSyntaxError(
-                f"unknown directive {word!r}", lineno, col,
-                expected=("ring", "quotient", "module", "ideal", "params"),
-            )
+            raise ProblemSyntaxError(f"unknown directive {word!r}", lineno, col)
         ts.end()
 
     if ring is None:
-        raise ProblemSyntaxError("missing ring line", 1, 1, expected=("ring",))
+        raise ProblemSyntaxError("missing ring line", 1, 1)
     for cand in params.get("candidates", ()):
         if cand not in ideals:
             raise ProblemSemanticError(f"unknown candidate ideal {cand!r}", params_line)

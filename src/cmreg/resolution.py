@@ -138,16 +138,13 @@ def betti_table(R: FreeResolution) -> BettiTable:
 # -- minimization -------------------------------------------------------------
 
 
-def _unit_entry(mats, twist_lists):
-    """First (l, k, m) with a nonzero constant entry, scanning l, k, m
-    ascending; None when every entry has positive degree."""
-    for l in range(1, len(twist_lists)):
-        for k, row in enumerate(mats[l]):
-            for m, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                if twist_lists[l][m] == twist_lists[l - 1][k]:
-                    return (l, k, m)
+def _unit_entry(mat, source_twists, target_twists):
+    """First (k, m) with a nonzero constant entry of one differential,
+    scanning k, m ascending; None when every entry has positive degree."""
+    for k, row in enumerate(mat):
+        for m, p in enumerate(row):
+            if not p.is_zero() and source_twists[m] == target_twists[k]:
+                return (k, m)
     return None
 
 
@@ -158,43 +155,41 @@ def minimize(R: FreeResolution) -> FreeResolution:
     A unit u at row k, column m of d_l splits off an exact pair: d_l sheds
     row k and column m with the correction B - w u^{-1} v, d_{l+1} sheds
     row m, and d_{l-1} sheds column k.  A row whose entry w in column m is
-    zero needs no correction and is carried over as it is.
+    zero needs no correction and is carried over as it is.  No cancellation
+    at level l puts a unit into a lower level, so one pass up the levels,
+    clearing each in turn, is enough.
     """
     ring = R.ring
     field = R.modules[0].base.field if R.modules else None
     twist_lists = [list(F.twists) for F in R.modules]
-    mats = [None] + [
-        [list(row) for row in d.matrix] for d in R.maps
-    ]  # mats[l][k][m], 1-based in l
+    mats = [None] + [[list(row) for row in d.matrix] for d in R.maps]  # 1-based in l
 
-    while True:
-        hit = _unit_entry(mats, twist_lists)
-        if hit is None:
-            break
-        l, k, m = hit
-        uinv = field.inv(mats[l][k][m].lc())
-        v = mats[l][k][:m] + mats[l][k][m + 1:]
-        new = []
-        for k2, row in enumerate(mats[l]):
-            if k2 == k:
-                continue
-            w = row[m]
-            row = row[:m] + row[m + 1:]
-            if not w.is_zero():
-                row = [
-                    ring.normal_form(p - (w * q).scale(uinv))
-                    for p, q in zip(row, v)
+    for l in range(1, len(mats)):
+        while hit := _unit_entry(mats[l], twist_lists[l], twist_lists[l - 1]):
+            k, m = hit
+            uinv = field.inv(mats[l][k][m].lc())
+            v = mats[l][k][:m] + mats[l][k][m + 1:]
+            new = []
+            for k2, row in enumerate(mats[l]):
+                if k2 == k:
+                    continue
+                w = row[m]
+                row = row[:m] + row[m + 1:]
+                if not w.is_zero():
+                    row = [
+                        ring.normal_form(p - (w * q).scale(uinv))
+                        for p, q in zip(row, v)
+                    ]
+                new.append(row)
+            mats[l] = new
+            if l + 1 < len(mats):
+                mats[l + 1] = [row for j, row in enumerate(mats[l + 1]) if j != m]
+            if l - 1 >= 1:
+                mats[l - 1] = [
+                    [p for j, p in enumerate(row) if j != k] for row in mats[l - 1]
                 ]
-            new.append(row)
-        mats[l] = new
-        if l + 1 < len(mats):
-            mats[l + 1] = [row for j, row in enumerate(mats[l + 1]) if j != m]
-        if l - 1 >= 1:
-            mats[l - 1] = [
-                [p for j, p in enumerate(row) if j != k] for row in mats[l - 1]
-            ]
-        del twist_lists[l][m]
-        del twist_lists[l - 1][k]
+            del twist_lists[l][m]
+            del twist_lists[l - 1][k]
 
     modules = [GradedFreeModule(ring, tuple(t)) for t in twist_lists]
     maps = [
@@ -226,40 +221,24 @@ def minimal_presentation(M: ModulePresentation) -> ModulePresentation:
 # -- construction -------------------------------------------------------------
 
 
-def _extend(current: GradedMap, degree_cap, minimal=True):
-    """Next differential d: F -> source(current), or None at exactness."""
-    K = kernel(current, cap=degree_cap)
-    if minimal:
-        K = minimal_generators(K, current.source)
-    if not K:
-        return None
-    twists = tuple(vec_degree(current.source, v) for v in K)
-    return map_from_columns(twists, current.source, K)
-
-
 def _resolve(M: ModulePresentation, cap, minimal, degree_cap) -> FreeResolution:
-    """F_0..F_cap of a resolution of M by iterated kernels, complete when
-    a kernel vanishes first.  Each new d_l is built from minimal kernel
-    generators when minimal is set or l >= nvars (see resolve_over_Q)."""
+    """F_0..F_cap of a resolution of M, complete when some F_l vanishes
+    first.  d_1 is M's relations; each later d_l takes the minimal
+    generators of ker d_{l-1}, so an empty kernel gives a map with no
+    columns and ends the loop."""
     modules = [M.cover]
     maps = []
-    complete = False
-    current = M.relations
+    d = M.relations
     for l in range(1, cap + 1):
-        if current.source.rank == 0:
-            complete = True
-            break
-        modules.append(current.source)
-        maps.append(current)
-        if l == cap:
-            break
-        current = _extend(current, degree_cap, minimal or l + 1 >= M.ring.nvars)
-        if current is None:
-            complete = True
-            break
-    return FreeResolution(
-        M.ring, modules, maps, minimal=minimal, complete=complete
-    )
+        if d.source.rank == 0:
+            return FreeResolution(M.ring, modules, maps, minimal, complete=True)
+        modules.append(d.source)
+        maps.append(d)
+        if l < cap:
+            K = minimal_generators(kernel(d, cap=degree_cap), d.source)
+            twists = tuple(vec_degree(d.source, v) for v in K)
+            d = map_from_columns(twists, d.source, K)
+    return FreeResolution(M.ring, modules, maps, minimal)
 
 
 def resolve_over_Q(
@@ -267,13 +246,13 @@ def resolve_over_Q(
 ) -> FreeResolution:
     """Finite graded free resolution over the polynomial ring.
 
-    With minimal set (the default) the presentation is minimized first and
-    each syzygy step takes minimal generators, so the result is the minimal
-    resolution; length <= number of variables by the syzygy theorem, which
-    is asserted.  With minimal unset the presentation and the early syzygy
-    steps are taken as given, but from step nvars - 1 on the kernel is free
-    and its minimal generators, a basis, are taken; so the resolution ends
-    within nvars + 1 steps (asserted too), unit entries and all.
+    Every syzygy step takes minimal kernel generators; minimal only decides
+    whether the presentation is minimized first.  Minimized (the default),
+    the result is the minimal resolution, of length <= nvars by the syzygy
+    theorem.  Taken as given, unit entries and all, the presentation starts
+    a resolution of length <= nvars + 1, since ker d_1 has a minimal one of
+    length <= nvars - 1; one variable reaches that: F_0 <- F_1 <- ker d_1.
+    Both bounds are asserted.
     """
     ring = M.ring
     if isinstance(ring, QuotientRing):

@@ -422,8 +422,8 @@ class TokenStream:
     def col(self) -> int:
         return self.tokens[self.pos][2]
 
-    def error(self, message, expected=()) -> ProblemSyntaxError:
-        return ProblemSyntaxError(message, self.line, self.col(), expected)
+    def error(self, message) -> ProblemSyntaxError:
+        return ProblemSyntaxError(message, self.line, self.col())
 
     def accept(self, text) -> bool:
         if self.peek() != text:
@@ -434,7 +434,7 @@ class TokenStream:
     def expect(self, *texts):
         for text in texts:
             if not self.accept(text):
-                raise self.error(f"expected {text!r}", expected=(text,))
+                raise self.error(f"expected {text!r}")
 
     def end(self):
         if self.peek():
@@ -443,14 +443,14 @@ class TokenStream:
     def name(self) -> str:
         kind, text, _ = self.tokens[self.pos]
         if kind != "name":
-            raise self.error("expected a name", expected=("name",))
+            raise self.error("expected a name")
         self.pos += 1
         return text
 
     def natural(self) -> int:
         kind, text, _ = self.tokens[self.pos]
         if kind != "int":
-            raise self.error("expected an integer", expected=("integer",))
+            raise self.error("expected an integer")
         value = self._int(text)
         self.pos += 1
         return value

@@ -189,15 +189,14 @@ class LinearFit:
 def fit_sequence(values) -> LinearFit:
     """Detect an eventually linear integer sequence by exact differences."""
     vals = list(values)
-    if any(v == CAP for v in vals):
-        vals = [v for v in vals if v != CAP]
     if all(v == NEG_INF for v in vals):
         return LinearFit("empty")
-    # eventual linearity can only live on the finite tail
-    start = max(k for k, v in enumerate(vals) if v == NEG_INF) + 1 if NEG_INF in vals else 0
+    while vals and vals[-1] == CAP:
+        vals.pop()
+    # eventual linearity can only live on the finite run after the last
+    # -inf or cap, each cell at its own index
+    start = max((k + 1 for k, v in enumerate(vals) if v in (NEG_INF, CAP)), default=0)
     tail = vals[start:]
-    if NEG_INF in tail:
-        return LinearFit("not-linear")
     if len(tail) < 3:
         return LinearFit("inconclusive")
     diffs = [tail[k + 1] - tail[k] for k in range(len(tail) - 1)]

@@ -37,20 +37,20 @@ class _Cursor:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def fail(self, message, expected=()):
-        raise ProblemSyntaxError(message, self.lineno, self.col(), expected)
+    def fail(self, message):
+        raise ProblemSyntaxError(message, self.lineno, self.col())
 
     def literal(self, lit):
         self.skip_ws()
         if not self.text.startswith(lit, self.pos):
-            self.fail(f"expected {lit!r}", expected=(lit,))
+            self.fail(f"expected {lit!r}")
         self.pos += len(lit)
 
     def name(self):
         self.skip_ws()
         m = _NAME_RE.match(self.text, self.pos)
         if not m:
-            self.fail("expected a name", expected=("name",))
+            self.fail("expected a name")
         self.pos = m.end()
         return m.group(0)
 
@@ -58,7 +58,7 @@ class _Cursor:
         self.skip_ws()
         m = re.compile(r"-?\d+").match(self.text, self.pos)
         if not m:
-            self.fail("expected an integer", expected=("integer",))
+            self.fail("expected an integer")
         self.pos = m.end()
         return int(m.group(0))
 
@@ -168,9 +168,7 @@ def parse_problem(text: str) -> ProblemFile:
             continue
 
         if ring is None:
-            raise ProblemSyntaxError(
-                "the ring line must come first", lineno, 1, expected=("ring",)
-            )
+            raise ProblemSyntaxError("the ring line must come first", lineno, 1)
 
         if word == "quotient":
             if seen_quotient:
@@ -204,9 +202,7 @@ def parse_problem(text: str) -> ProblemFile:
                 try:
                     targets.append(int(item))
                 except ValueError:
-                    raise ProblemSyntaxError(
-                        f"bad twist {item!r}", lineno, cur.col(), expected=("integer",)
-                    )
+                    raise ProblemSyntaxError(f"bad twist {item!r}", lineno, cur.col())
             cur.literal(";")
             cur.literal("relations")
             items = _bracket_list(cur)
@@ -252,8 +248,7 @@ def parse_problem(text: str) -> ProblemFile:
                 continue
             if not rest:
                 raise ProblemSyntaxError(
-                    "ideal needs generators or 'unit'", lineno, cur.col(),
-                    expected=("polynomial", "unit"),
+                    "ideal needs generators or 'unit'", lineno, cur.col()
                 )
             gens = [
                 _parse_entry(t, ring, lineno)
@@ -287,13 +282,10 @@ def parse_problem(text: str) -> ProblemFile:
                         )
             continue
 
-        raise ProblemSyntaxError(
-            f"unknown directive {word!r}", lineno, 1,
-            expected=("ring", "quotient", "module", "ideal", "params"),
-        )
+        raise ProblemSyntaxError(f"unknown directive {word!r}", lineno, 1)
 
     if ring is None:
-        raise ProblemSyntaxError("missing ring line", 1, 1, expected=("ring",))
+        raise ProblemSyntaxError("missing ring line", 1, 1)
     for cand in params.get("candidates", ()):
         if cand not in ideals:
             raise ProblemSemanticError(f"unknown candidate ideal {cand!r}", params_line)

@@ -72,6 +72,24 @@ def test_resolve_over_Q(tmp_path, capsys):
 CI3 = str(Path(__file__).parents[1] / "perfbench" / "problems" / "ci3.prob")
 
 
+def test_verify_fits_a_capped_line_as_inconclusive(tmp_path):
+    # at degree cap 6 the cell (0, 5) of power/odd and of quotient/even
+    # hits the cap: each i-line is that one cell, unknown, so not "empty"
+    out = tmp_path / "v.json"
+    argv = ["verify", CI3, "--module", "M", "--coeff", "N", "--ideal", "I"]
+    argv += ["--variant", "both", "--imax", "0", "--nmax", "5", "--degree-cap", "6"]
+    assert main([*argv, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["unverified"] == [["power", "odd", 0, 5], ["quotient", "even", 0, 5]]
+    statuses = {line: fit["status"] for line, fit in report["fits"]["i"].items()}
+    assert statuses == {
+        "power/even": "empty",
+        "power/odd": "inconclusive",
+        "quotient/even": "inconclusive",
+        "quotient/odd": "inconclusive",
+    }
+
+
 def test_ext_and_tor_print_minimal_presentations(capsys):
     # on ci3.prob every Ext and Tor module of A/(x1,x3) against A/(x2) is
     # presented with its minimal generators and minimal relations
@@ -406,7 +424,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
 
 def test_removed_output_flags_are_usage_errors(tmp_path, capsys):
     # sweep writes --csv/--json and verify --json; neither ever read --out,
-    # verify never read --csv, and the rho bound is verify's, not sweep's
+    # verify never read --csv, the rho bound is verify's, not sweep's, and
+    # f = min deg z_j is fixed by the ring
     prob = _write(tmp_path, "red.prob", REDUCED)
     grid = ["--module", "M", "--coeff", "N", "--ideal", "I", "--imax", "0", "--nmax", "0"]
     for argv in (
@@ -414,6 +433,7 @@ def test_removed_output_flags_are_usage_errors(tmp_path, capsys):
         ["verify", prob, *grid, "--out", str(tmp_path / "o.json")],
         ["verify", prob, *grid, "--csv", str(tmp_path / "o.csv")],
         ["sweep", prob, *grid, "--rho", "5"],
+        ["verify", prob, *grid, "--f", "2"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from helpers import cyclic_quotient, problem_file, random_presentation
+import reference_resolution as ref
+from helpers import (
+    ci3_setup,
+    cyclic_quotient,
+    hypersurface_setup,
+    problem_file,
+    random_presentation,
+    reduced_hypersurface_setup,
+    two_relation_setup,
+)
 from cmreg import resolution
 from cmreg.errors import InternalConsistencyError
 from cmreg.fields import GF32003
@@ -15,10 +24,10 @@ from cmreg.freemod import (
     GradedMap,
     basis_vector,
     free_presentation,
-    map_from_columns,
     vec_mul_poly,
 )
-from cmreg.regularity import betti_oracle, regularity
+from cmreg.groebner import minimal_generators
+from cmreg.regularity import betti_oracle, present_over_Q, regularity
 from cmreg.resolution import (
     BettiTable,
     FreeResolution,
@@ -48,22 +57,20 @@ def test_koszul_betti_numbers():
 def test_minimal_resolution_stops_at_syzygy_bound(monkeypatch):
     # the residue field over K[x1..xd] resolves in exactly d steps
     # (test_koszul_betti_numbers); one more minimal step must be refused
-    real_extend = resolution._extend
+    real_kernel = resolution.kernel
     for d in (1, 2, 3):
         Q = PolyRing(d, GF32003)
         K = cyclic_quotient(Q, [f"x{i + 1}" for i in range(d)])
         extra = []
 
-        def one_step_too_many(current, degree_cap, minimal=True):
-            nxt = real_extend(current, degree_cap, minimal=minimal)
-            if nxt is None and not extra:
-                F = current.source
+        def one_syzygy_too_many(phi, cap):
+            syz = real_kernel(phi, cap=cap)
+            if not syz and not extra:
                 extra.append(d)
-                col = vec_mul_poly(basis_vector(F, 0), Q.poly("x1"))
-                nxt = map_from_columns((F.twists[0] + 1,), F, [col])
-            return nxt
+                syz = [vec_mul_poly(basis_vector(phi.source, 0), Q.poly("x1"))]
+            return syz
 
-        monkeypatch.setattr(resolution, "_extend", one_step_too_many)
+        monkeypatch.setattr(resolution, "kernel", one_syzygy_too_many)
         with pytest.raises(InternalConsistencyError):
             resolve_over_Q(K)
         assert extra == [d]
@@ -109,8 +116,8 @@ def test_minimize_agrees_with_minimal_resolution(seed):
 
 def test_nonminimal_resolution_over_three_variables():
     # the 13 modules over K[x1,x2,x3] of the non-minimal Betti workload;
-    # the redundant kernel generators of module 9 used to run past the
-    # length bound, before the free kernels took minimal generators
+    # raw kernel generators at every step once ran module 9 past the length
+    # bound, and minimal ones from step 2 on give it ranks 1, 3, 3, 1
     rng = random.Random(20260825)
     Q = PolyRing(3, GF32003)
     for trial in range(13):
@@ -118,6 +125,59 @@ def test_nonminimal_resolution_over_three_variables():
         Rbig = resolve_over_Q(M, minimal=False)
         assert Rbig.length <= Q.nvars + 1 and Rbig.is_complex()
         assert betti_table(minimize(Rbig)) == betti_oracle(M)
+        # every syzygy step past d_1 already takes minimal generators
+        for l in range(2, Rbig.length + 1):
+            cols = Rbig.d(l).columns()
+            assert len(minimal_generators(cols, Rbig.module(l - 1))) == len(cols)
+
+
+def _same(R, S):
+    return (R.modules, R.maps, R.complete, R.minimal) == (
+        S.modules, S.maps, S.complete, S.minimal
+    )
+
+
+def _reference_modules(seed):
+    """M and N of the shipped files and the acceptance setups, then seeded
+    modules over K[x1,x2,x3] and over the ci3 ring."""
+    for name in ("hypersurface", "two_relation", "reduced_hypersurface", "ci3"):
+        pf = problem_file(name)
+        yield pf.module("M")
+        yield pf.module("N")
+    for setup in (hypersurface_setup, two_relation_setup, reduced_hypersurface_setup):
+        _, M, N, _ = setup()
+        yield M
+        yield N
+    rng = random.Random(seed)
+    for ring in (PolyRing(3, GF32003), ci3_setup()[0]):
+        for _ in range(6):
+            yield random_presentation(rng, ring, max_deg=2)
+
+
+def test_resolutions_match_the_reference_loop(seed):
+    # with minimal presentations the one loop takes the same steps as the
+    # loop that kept a raw-kernel rule beside the minimal one
+    for M in _reference_modules(seed):
+        assert _same(resolve_over_A(M, cap=6), ref.resolve_over_A(M, 6))
+        MQ = present_over_Q(M)
+        assert _same(resolve_over_Q(MQ), ref.resolve_over_Q(MQ))
+
+
+def test_minimize_matches_the_reference(seed):
+    # one pass up the levels cancels what rescanning from level 1 cancels,
+    # in the same order, on non-minimal resolutions from both loops
+    rng = random.Random(seed)
+    cancelled = 0
+    for nvars in (2, 3):
+        Q = PolyRing(nvars, GF32003)
+        for _ in range(10):
+            M = random_presentation(rng, Q, max_gens=3, max_deg=2)
+            for R in (resolve_over_Q(M, minimal=False), ref.resolve_over_Q(M, False)):
+                small = minimize(R)
+                assert _same(small, ref.minimize(R))
+                cancelled += sum(F.rank for F in R.modules)
+                cancelled -= sum(F.rank for F in small.modules)
+    assert cancelled > 0
 
 
 def test_minimal_presentation_drops_redundant_generator():

@@ -310,9 +310,17 @@ def test_fit_sequence_cases():
     assert fit_sequence([0, NEG_INF, 1, NEG_INF]).status == "inconclusive"
     # differences that stabilize too late cannot be certified
     assert fit_sequence([0, NEG_INF, 1, 2, 3, 5]).status == "not-linear"
-    # cap cells are skipped, the rest must still stabilize
+    # cap cells are skipped, the rest must still stabilize, each cell at
+    # its own index: value(k) = k - 1 from k = 1
     fit = fit_sequence([CAP, 0, 1, 2])
     assert fit.linear and fit.slope == 1
+    assert (fit.intercept, fit.onset) == (-1, 1)
+    # a cap inside the line starts the run after it: value(k) = k + 1 from 2
+    fit = fit_sequence([1, CAP, 3, 4, 5])
+    assert (fit.status, fit.slope, fit.intercept, fit.onset) == ("linear", 1, 1, 2)
+    # a cap cell is unknown, not a zero module
+    assert fit_sequence([CAP]).status == "inconclusive"
+    assert fit_sequence([NEG_INF, CAP]).status == "inconclusive"
 
 
 def test_verify_bounds_minimal_constant_and_tightness():
