@@ -13,20 +13,14 @@ code path with the Groebner engine, which is the point.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
-from .freemod import (
-    GradedFreeModule,
-    ModulePresentation,
-    map_from_columns,
-    piece_basis,
-    span_matrix,
-    vec_degree,
-)
+from .freemod import GradedFreeModule, ModulePresentation, map_from_columns, vec_degree
 from .groebner import DEFAULT_DEGREE_CAP, relation_vectors
-from .linalg import echelon, rank, reduce_vector
+from .linalg import rank, row_reduce
 from .resolution import BettiTable, betti_table, resolve_over_Q
-from .rings import QuotientRing, monomial_mul
+from .rings import QuotientRing
 
 
 def present_over_Q(M: ModulePresentation) -> ModulePresentation:
@@ -52,13 +46,24 @@ def regularity(M: ModulePresentation, degree_cap=DEFAULT_DEGREE_CAP):
 # -- graded pieces of a Q-presentation, by pure linear algebra ----------------
 
 
-class GradedPieces:
-    """Exact graded pieces M_s of a Q-presentation on a degree window.
+def _split(e):
+    """(v, e - 1_v) for the first variable x_v dividing x^e."""
+    v = next(i for i, x in enumerate(e) if x)
+    return v, e[:v] + (e[v] - 1,) + e[v + 1:]
 
-    Each piece gets a coordinate basis (the ambient monomial basis columns
-    away from the relation-rowspace pivots) plus multiplication maps by the
-    variables, all through one forward echelon form per piece: reducing
-    against it leaves the same residual as against the reduced form.
+
+class GradedPieces:
+    """Exact graded pieces M_s of a Q-presentation on a degree window, with
+    the multiplication maps by the variables, built degree by degree.
+
+    F_s is the sum of the x_v F_{s-1} and the generators of twist s, and the
+    kernel of V tensor F_{s-1} -> F_s is the Koszul image, as
+    Tor_1(F, K) = 0.  So M_s is the cokernel of one small matrix: its
+    columns are V tensor M_{s-1} and the generators of twist s, its rows the
+    commutations x_v (x_w b) - x_w (x_v b) for b in M_{s-2} and the
+    relations of degree s.  Its reduced echelon form gives the basis (the
+    free columns) and x_v: M_{s-1} -> M_s, whose column is a unit vector at
+    a free column and minus its pivot row on the free ones otherwise.
     """
 
     def __init__(self, M: ModulePresentation, lo: int, hi: int):
@@ -67,51 +72,75 @@ class GradedPieces:
             raise ValueError("GradedPieces expects a presentation over Q")
         self.M = M
         self.ring = ring
-        self.field = ring.field
+        self.field = field = ring.field
         self.lo = lo
         self.hi = hi
-        self._amb = {}
-        self._amb_index = {}
-        self._echelon = {}
-        self._free_cols = {}
-        self._mult = {}
-        F = M.cover
-        cols = M.relations.columns()
-        for s in range(lo, hi + 1):
-            basis = piece_basis(F, s)
-            rows = span_matrix(F, cols, s, basis)
-            ech, piv = echelon(rows, self.field)
-            pivset = set(piv)
-            self._amb[s] = basis
-            self._amb_index[s] = {be: i for i, be in enumerate(basis)}
-            self._echelon[s] = (ech, piv)
-            self._free_cols[s] = [c for c in range(len(basis)) if c not in pivset]
+        self._dim, self._mult, self._coords = {}, {}, {}
+        d, zero, neg = ring.nvars, field.zero, field.neg
+        twists = M.cover.twists
+        rels = {}
+        for t, col in zip(M.relations.source.twists, M.relations.columns()):
+            rels.setdefault(t, []).append(col)
+        images = []  # x_v b in M_{s-1}, v outer and b in M_{s-2} inner
+        for s in range(min(twists, default=hi + 1), hi + 1):
+            n1, n2 = self._dim.get(s - 1, 0), self._dim.get(s - 2, 0)
+            gens = [k for k, t in enumerate(twists) if t == s]
+            ncols = d * n1 + len(gens)
+            minus = [[neg(x) if x != zero else x for x in col] for col in images]
+            rows = []
+            for v, w in combinations(range(d), 2):
+                for b in range(n2):
+                    row = [zero] * ncols
+                    row[v * n1:(v + 1) * n1] = images[w * n2 + b]
+                    row[w * n1:(w + 1) * n1] = minus[v * n2 + b]
+                    rows.append(row)
+            for col in rels.get(s, ()):
+                row = [zero] * ncols
+                for k, p in enumerate(col):
+                    for e, c in p.terms.items():
+                        if twists[k] == s:
+                            support = [(d * n1 + gens.index(k), field.one)]
+                        else:
+                            v, low = _split(e)
+                            support = enumerate(self._class(k, low), v * n1)
+                        field.sub_row(row, neg(c), support)
+                rows.append(row)
+            rref, piv = row_reduce(rows, field)
+            pivot_row = dict(zip(piv, rref))
+            free = [c for c in range(ncols) if c not in pivot_row]
+            self._dim[s] = len(free)
+            images = [
+                [neg(x) if x != zero else x for x in map(pivot_row[c].__getitem__, free)]
+                if c in pivot_row else [field.one if f == c else zero for f in free]
+                for c in range(ncols)
+            ]
+            for v in range(d):
+                block = images[v * n1:(v + 1) * n1]
+                self._mult[v, s - 1] = [[col[r] for col in block] for r in range(len(free))]
+            for g, k in enumerate(gens):
+                self._coords[k, (0,) * d] = images[d * n1 + g]
+
+    def _class(self, k: int, e):
+        """Coordinates of x^e e_k: those of e_k pushed through the x_v,
+        memoised in _coords."""
+        if (k, e) not in self._coords:
+            v, low = _split(e)
+            f, vec = self.field, self._class(k, low)
+            self._coords[k, e] = [
+                reduce(f.add, map(f.mul, row, vec), f.zero)
+                for row in self._mult[v, self.M.cover.twists[k] + sum(low)]
+            ]
+        return self._coords[k, e]
 
     def dim(self, s: int) -> int:
-        if s < self.lo or s > self.hi:
-            return 0
-        return len(self._free_cols[s])
+        return self._dim.get(s, 0) if self.lo <= s <= self.hi else 0
 
     def mult_matrix(self, var: int, s: int):
         """Matrix of x_var: M_s -> M_{s+1}, columns indexed by the M_s
         basis, rows by the M_{s+1} basis."""
-        key = (var, s)
-        if key in self._mult:
-            return self._mult[key]
-        n_src = self.dim(s)
-        n_tgt = self.dim(s + 1)
-        step = tuple(1 if i == var else 0 for i in range(self.ring.nvars))
-        cols = []
-        for c in self._free_cols.get(s, []):
-            k, e = self._amb[s][c]
-            amb = [self.field.zero] * len(self._amb[s + 1])
-            amb[self._amb_index[s + 1][(k, monomial_mul(e, step))]] = self.field.one
-            ech, piv = self._echelon[s + 1]
-            red = reduce_vector(amb, ech, piv, self.field)
-            cols.append([red[i] for i in self._free_cols[s + 1]])
-        out = [[cols[c][r] for c in range(n_src)] for r in range(n_tgt)]
-        self._mult[key] = out
-        return out
+        if self.lo <= s < self.hi and (var, s) in self._mult:
+            return self._mult[var, s]
+        return [[self.field.zero] * self.dim(s) for _ in range(self.dim(s + 1))]
 
 
 def _koszul_matrix(pieces: GradedPieces, i: int, j: int):

@@ -186,12 +186,12 @@ def test_ext_repeats_along_a_periodic_resolution(name):
 
 
 @pytest.mark.parametrize(
-    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup]
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup]
 )
 def test_ext_cells_match_the_betti_oracle(setup):
-    # every cell of the acceptance grids at i_max = n_max = 2 (Ext indices
-    # 0..5), both variants: the Koszul oracle, which is linear algebra only,
-    # against the minimal resolution over Q
+    # every cell of the acceptance grids and of ci3.prob's grid at
+    # i_max = n_max = 2 (Ext indices 0..5), both variants: the Koszul oracle,
+    # which is linear algebra only, against the minimal resolution over Q
     A, M, N, I = setup()
     R = resolve_over_A(M, 6)
     nonzero = 0
