@@ -95,5 +95,4 @@ from .trigraded import (
     component_twists,
     compositions,
     max_twist_bound_check,
-    twist_histogram,
 )

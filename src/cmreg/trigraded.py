@@ -4,16 +4,15 @@ deg(Y_j) = (0,1,h_j) and deg(Z_k) = (1,0,g_k), with h and g sorted
 descending.  A free S-module summand S(-b1, -b2, -a) contributes to the
 (i, n, *) component one Q-twist a + sum(u_j h_j) + sum(v_k g_k) for every
 composition u of n - b2 into b parts and v of i - b1 into c parts, and
-nothing when i < b1 or n < b2.  Components are computed as histograms
-{twist: multiplicity}, built by dynamic programming over the weights
-rather than by listing compositions; `compositions` remains the
-enumeration that defines them.  The constants
+nothing when i < b1 or n < b2; `component_twists` lists them so.  As h
+and g descend, h.u peaks at h1*(n - b2) and g.v at g1*(i - b1), so the
+top twist of a component has a closed form.  With the constants
 
     c_l = max over level-l generators of (a - g1*b1 - h1*b2)
     e   = max over levels of (c_l - l)
 
-bound the maximal twist of every component by g1*i + h1*n + c_l, hence the
-component regularity of the resolved module by g1*i + h1*n + e.
+it is at most g1*i + h1*n + c_l; hence the component regularity of the
+resolved module is at most g1*i + h1*n + e.
 
 This module consumes resolution DATA (generator multidegrees per level),
 not actual modules; connecting its lines to measured regularity tables is
@@ -22,10 +21,8 @@ the harness's job.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 
 from .freemod import NEG_INF
 from .rings import weak_compositions
@@ -49,6 +46,8 @@ class TrigradedRingSpec:
         h, g = [_integer(x) for x in h], [_integer(x) for x in g]
         if len(h) != b or len(g) != c:
             raise ValueError("weight list lengths must match b and c")
+        if d < 0:
+            raise ValueError("d must be non-negative")
         self.d = d
         self.b = b
         self.c = c
@@ -70,14 +69,19 @@ class TrigradedRingSpec:
 
 
 class TrigradedFreeData:
-    """Generator multidegrees (b1, b2, a) per homological level 0..d'."""
+    """Generator multidegrees (b1, b2, a) per homological level 0..d'.
+    Level keys are integers or decimal strings, one key per level."""
 
     __slots__ = ("levels",)
 
     def __init__(self, levels, spec: TrigradedRingSpec = None):
         self.levels = {}
-        for l, gens in dict(levels).items():
-            l = int(l)
+        seen = set()
+        for key, gens in dict(levels).items():
+            l = int(key) if isinstance(key, str) else _integer(key)
+            if l in seen:
+                raise ValueError(f"two keys name level {l}")
+            seen.add(l)
             if l < 0:
                 raise ValueError("negative homological level")
             if spec is not None and l > spec.homological_range:
@@ -115,36 +119,22 @@ def compositions(total, parts):
 
 @lru_cache(maxsize=1024)
 def _weight_sums(weights, total):
-    """Read-only {w.u: count} over the weak compositions u of total into
-    len(weights) parts.  Adding a part of weight w to the table gives
-    new[m] = old[m] + shift(new[m-1], w): the new part is 0, or one more
-    than in a composition of m - 1."""
-    table = [{0: 1}] + [{} for _ in range(total)]
-    for w in weights:
-        for m in range(1, total + 1):
-            new = Counter(table[m])
-            for s, count in table[m - 1].items():
-                new[s + w] += count
-            table[m] = new
-    return MappingProxyType(dict(table[total]))
-
-
-def twist_histogram(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
-    """Counter {twist: multiplicity} of the (i, n, *) component of F_l."""
-    hist = Counter()
-    for b1, b2, a in data.level(l):
-        if i < b1 or n < b2:
-            continue
-        gsums = _weight_sums(spec.g, i - b1)
-        for hu, hcount in _weight_sums(spec.h, n - b2).items():
-            for gv, gcount in gsums.items():
-                hist[a + hu + gv] += hcount * gcount
-    return hist
+    """(w.u for each weak composition u of total into len(weights) parts),
+    in `rings.weak_compositions` order."""
+    return tuple(
+        sum(w * x for w, x in zip(weights, u))
+        for u in weak_compositions(total, len(weights))
+    )
 
 
 def component_twists(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
     """Multiset (sorted list) of Q-twists in the (i, n, *) component of F_l."""
-    return sorted(twist_histogram(spec, data, l, i, n).elements())
+    out = []
+    for b1, b2, a in data.level(l):
+        gsums = _weight_sums(spec.g, i - b1)
+        for hu in _weight_sums(spec.h, n - b2):
+            out.extend(a + hu + gv for gv in gsums)
+    return sorted(out)
 
 
 def component_twist_count(spec, b1, b2, i, n):
@@ -163,18 +153,27 @@ def component_bound(spec: TrigradedRingSpec, data: TrigradedFreeData, i, n):
     return spec.g1 * i + spec.h1 * n + e
 
 
+def _top_twist(spec, gens, i, n):
+    """Top twist of the (i, n, *) component of the free module on gens:
+    max of a + h1*(n - b2) + g1*(i - b1) over the generators with b1 <= i
+    and b2 <= n (n = b2 when b = 0, i = b1 when c = 0); NEG_INF if empty."""
+    return max(
+        (a + spec.h1 * (n - b2) + spec.g1 * (i - b1) for b1, b2, a in gens
+         if b1 <= i and b2 <= n and (spec.b or n == b2) and (spec.c or i == b1)),
+        default=NEG_INF,
+    )
+
+
 def max_twist_bound_check(spec, data, l, i, n) -> bool:
-    """max component twist <= g1*i + h1*n + c_l; vacuously true when the
-    component (or the level) is empty."""
-    hist = twist_histogram(spec, data, l, i, n)
-    if not hist:
-        return True
-    cl = max(a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in data.level(l))
-    return max(hist) <= spec.g1 * i + spec.h1 * n + cl
+    """max component twist <= g1*i + h1*n + c_l, which the closed form of
+    the top twist makes true for all valid data; vacuously true when the
+    component (or the level, whose c_l then reads 0) is empty."""
+    gens = data.level(l)
+    cl = max((a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in gens), default=0)
+    return _top_twist(spec, gens, i, n) <= spec.g1 * i + spec.h1 * n + cl
 
 
 def free_component_regularity(spec, data, i, n):
     """For free data concentrated in level 0 the component is a free
     Q-module, so its regularity is the maximal twist (NEG_INF if empty)."""
-    hist = twist_histogram(spec, data, 0, i, n)
-    return max(hist) if hist else NEG_INF
+    return _top_twist(spec, data.level(0), i, n)

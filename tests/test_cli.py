@@ -384,6 +384,9 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
             json.dumps({**good, "imx": 3}),
             json.dumps({**good, "spec": {**good["spec"], "e": 0}}),
             json.dumps({**good, "data": {}}),
+            # two keys naming level 1: neither may be dropped silently
+            json.dumps({**good, "data": {**good["data"], "1": [[0, 0, 1]], "01": [[0, 0, 9]]}}),
+            json.dumps({**good, "spec": {**good["spec"], "d": -1}}),
         ))
     ]
     grid = ["--module", "M", "--coeff", "N", "--ideal", "I"]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from math import comb
 
 import pytest
@@ -12,6 +11,7 @@ from cmreg.freemod import NEG_INF
 from cmreg.trigraded import (
     TrigradedFreeData,
     TrigradedRingSpec,
+    _top_twist,
     _weight_sums,
     bound_constants,
     component_bound,
@@ -20,7 +20,6 @@ from cmreg.trigraded import (
     compositions,
     free_component_regularity,
     max_twist_bound_check,
-    twist_histogram,
 )
 
 
@@ -64,11 +63,20 @@ def _reference_twists(spec, data, l, i, n):
     return out
 
 
-def test_histogram_matches_reference_enumeration(seed):
+def test_component_twists_match_reference_enumeration(seed):
     rng = random.Random(seed + 23)
     specs = [_random_spec(rng) for _ in range(20)]
     specs.append(TrigradedRingSpec(1, 0, 2, [], [3, 1]))  # b = 0: only n = b2 survives
     specs.append(TrigradedRingSpec(1, 2, 0, [2, 2], []))  # c = 0: only i = b1 survives
+    specs.append(TrigradedRingSpec(1, 0, 0, [], []))  # both: only (b1, b2) itself
+    specs.append(TrigradedRingSpec(2, 2, 2, [-1, -3], [0, -2]))  # negative weights
+    specs.append(TrigradedRingSpec(1, 0, 3, [], [-2, 4, 1]))
+    specs.append(TrigradedRingSpec(1, 3, 0, [-3, 2, 0], []))
+    for _ in range(10):
+        b, c = rng.randint(0, 3), rng.randint(0, 3)
+        h = [rng.randint(-3, 4) for _ in range(b)]
+        g = [rng.randint(-3, 4) for _ in range(c)]
+        specs.append(TrigradedRingSpec(rng.randint(0, 2), b, c, h, g))
     for spec in specs:
         data = _random_data(rng, spec)
         for l in data.levels:
@@ -76,21 +84,23 @@ def test_histogram_matches_reference_enumeration(seed):
                 for n in range(10):
                     ref = _reference_twists(spec, data, l, i, n)
                     assert component_twists(spec, data, l, i, n) == ref
-                    assert twist_histogram(spec, data, l, i, n) == Counter(ref)
+                    # the closed form of the top twist is the enumeration's max
+                    top = _top_twist(spec, data.level(l), i, n)
+                    assert top == max(ref, default=NEG_INF)
 
 
-@given(st.lists(st.integers(0, 6), max_size=4), st.integers(0, 10))
+@given(st.lists(st.integers(-3, 6), max_size=4), st.integers(0, 10))
 def test_weight_sums_shape(weights, m):
     sums = _weight_sums(tuple(weights), m)
     k = len(weights)
-    if m == 0:
-        assert sums == {0: 1}
-    elif k == 0:
-        assert sums == {}
-    if k:
-        assert sum(sums.values()) == comb(m + k - 1, k - 1)
-        assert min(sums) == m * min(weights)
-        assert max(sums) == m * max(weights)
+    assert type(sums) is tuple
+    if k == 0:
+        assert sums == ((0,) if m == 0 else ())
+        return
+    # one entry per weak composition: stars and bars
+    assert len(sums) == comb(m + k - 1, k - 1)
+    assert min(sums) == m * min(weights)
+    assert max(sums) == m * max(weights)
 
 
 @given(st.integers(0, 8), st.integers(0, 4))
@@ -132,6 +142,8 @@ def test_spec_rejects_non_integers():
         TrigradedRingSpec(1, 1.5, 1, [2], [3])
     with pytest.raises(ValueError):
         TrigradedRingSpec(1, 1, "1", [2], [3])
+    with pytest.raises(ValueError):
+        TrigradedRingSpec(-1, 1, 1, [2], [3])  # no negative variable count
     # integral floats, as JSON may spell them, are accepted as ints
     spec = TrigradedRingSpec(1.0, 1, 1, [2.0], [3])
     assert spec.d == 1 and spec.h == (2,) and type(spec.h1) is int
@@ -140,6 +152,11 @@ def test_spec_rejects_non_integers():
         with pytest.raises(ValueError):
             TrigradedFreeData({0: [(0, 0, bad)]}, spec)
     assert TrigradedFreeData({0: [(0, 0, 2.0)]}, spec).level(0) == [(0, 0, 2)]
+    # nor are level keys: a non-string key must be an integer
+    for bad in (1.5, True, None):
+        with pytest.raises(ValueError):
+            TrigradedFreeData({0: [(0, 0, 0)], bad: [(0, 0, 1)]}, spec)
+    assert TrigradedFreeData({0.0: [(0, 0, 1)]}, spec).level(0) == [(0, 0, 1)]
 
 
 def test_data_validation():
@@ -150,6 +167,16 @@ def test_data_validation():
         TrigradedFreeData({-1: [(0, 0, 0)]})
     with pytest.raises(ValueError):
         TrigradedFreeData({0: [(0, 0)]})
+    # two keys naming one level: neither list is dropped silently
+    for keys in (("1", "01"), (1, "1"), ("0", " 0")):
+        with pytest.raises(ValueError):
+            TrigradedFreeData({keys[0]: [(0, 0, 1)], keys[1]: [(0, 0, 9)]}, spec)
+    with pytest.raises(ValueError):
+        TrigradedFreeData({"1": [(0, 0, 1)], "01": []}, spec)
+    with pytest.raises(ValueError):
+        TrigradedFreeData({0: [(0, 0, 0)], 1.5: [(0, 0, 1)], True: [(0, 0, 2)]}, spec)
+    with pytest.raises(ValueError):
+        TrigradedRingSpec(-1, 1, 1, [2], [2])
     with pytest.raises(ValueError):
         bound_constants(spec, TrigradedFreeData({1: [(0, 0, 0)]}))
 
