@@ -208,14 +208,9 @@ def induced_on_ext(
         cover_map = map_from_columns(source.cover.twists, target.cover, zero_cols)
         return PresentationMap(source, target, cover_map)
 
-    # ambient precomposition U : T_i -> T_{i+2}(-f_j), block (m,t) <- (k,t)
-    t = T.t(j, i + 2)
-    t_A = GradedMap(
-        GradedFreeModule(ring, t.source.twists),
-        GradedFreeModule(ring, t.target.twists),
-        [[ring.normal_form(p) for p in row] for row in t.matrix],
-    )
-    U = _block_map(t_A, N.cover, dual=True)
+    # ambient precomposition U : T_i -> T_{i+2}(-f_j), block (m,t) <- (k,t);
+    # t~_j acts on Q-representatives, and preimages take any of them
+    U = _block_map(T.t(j, i + 2), N.cover, dual=True)
 
     # rewrite each generator image in the generators of Ext^{i+2} modulo
     # its coboundaries, with the elimination that presented it

@@ -309,10 +309,20 @@ def cmd_verify(args):
 TRIGRADED_KEYS = ("spec", "data", "imax", "nmax")
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key that appears twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProblemSemanticError(f"bad trigraded data: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def cmd_trigraded_bound(args):
     try:
         with open(args.data) as fh:
-            blob = json.load(fh)
+            blob = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ProblemSemanticError(f"cannot read {args.data}: {exc}")
     except json.JSONDecodeError as exc:

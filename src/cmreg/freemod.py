@@ -232,9 +232,6 @@ class GradedMap:
             self.source.shift(a), self.target.shift(a), self.matrix, check=False
         )
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.matrix for p in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedMap)
@@ -302,6 +299,17 @@ class ModulePresentation:
 def free_presentation(ring, twists) -> ModulePresentation:
     F = GradedFreeModule(ring, twists)
     return ModulePresentation(map_from_columns((), F, []))
+
+
+def quotient_by(M: ModulePresentation, scalars, ring) -> ModulePresentation:
+    """M/(s)M presented over ring: M's relation columns with the twists M
+    declares, then s * e_k of twist deg s + a_k (s outer, k inner)."""
+    F = GradedFreeModule(ring, M.cover.twists)
+    twists = M.relations.source.twists + tuple(
+        s.degree + a for s in scalars for a in F.twists
+    )
+    cols = M.relations.columns() + scaled_basis(F, scalars)
+    return ModulePresentation(map_from_columns(twists, F, cols))
 
 
 def cyclic_presentation(ring, gens) -> ModulePresentation:

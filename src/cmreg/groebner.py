@@ -6,7 +6,9 @@ multiples z_j * e_k of the ambient basis, which turns membership, equality
 and kernel questions over A into the same Q-computations.
 
 Vectors are tuples of GradedPoly (one entry per ambient position) and must
-be homogeneous in the twisted sense.  The term order is position-over-term:
+be homogeneous in the twisted sense; over a quotient their entries are any
+Q-representatives, and only minimal_generators takes canonical forms mod
+(z), of the vectors it returns.  The term order is position-over-term:
 positions are ranked by ascending twist (ties by index), earlier rank wins
 outright, and within a position the ring's monomial order applies.
 
@@ -151,9 +153,6 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def divisors(self):
         """_reduce's divisor table, built on first use: position -> [(packed
@@ -354,21 +353,21 @@ def minimal_generators(gens, F: GradedFreeModule, modulo=()):
     ring, for the submodule S of F spanned by modulo (S = 0 by default).
 
     Graded Nakayama read off one uncapped buchberger run over Q on the
-    relation multiples and the modulo vectors followed by the entrywise
-    normal forms of gens: a generator of degree t enters the basis iff it
-    is independent of S, the positive-degree multiples of all generators
-    and the same-degree generators already kept.  Relation multiples and
-    modulo vectors go first, so they are never candidates.  Output sorted
-    by descending degree (stable within a degree).
+    relation multiples and the modulo vectors followed by gens: a generator
+    of degree t enters the basis iff it is independent of S, the
+    positive-degree multiples of all generators and the same-degree
+    generators already kept.  Relation multiples and modulo vectors go
+    first, so they are never candidates and a generator in (z)F reduces to
+    zero.  The kept generators are returned in canonical form mod (z),
+    sorted by descending degree (stable within a degree).
     """
-    gens = [vec_reduce_entries(F, g) for g in gens]
-    gens = [g for g in gens if not vec_is_zero(g)]
     if not gens:
         return []
     fixed = relation_vectors(F) + list(modulo)
     ambient = GradedFreeModule(F.base, F.twists)
-    gb = buchberger(fixed + gens, ambient, cap=None)
-    kept = [gens[n - len(fixed)] for n in gb.kept if n >= len(fixed)]
+    gb = buchberger(fixed + list(gens), ambient, cap=None)
+    n0 = len(fixed)
+    kept = [vec_reduce_entries(F, gens[n - n0]) for n in gb.kept if n >= n0]
     kept.sort(key=lambda g: -vec_degree(F, g))
     return kept
 
@@ -406,16 +405,11 @@ class Elimination:
         self.g_rank = g_rank
 
     def kernel(self):
-        """Generators of {x : phi(x) in S}; see kernel()."""
-        g_rank = self.g_rank
-        out = []
-        for v in self.basis.elements:
-            if any(not p.is_zero() for p in v[:g_rank]):
-                continue
-            w = vec_reduce_entries(self.source, v[g_rank:])
-            if not vec_is_zero(w):
-                out.append(w)
-        return out
+        """Generators of {x : phi(x) in S}; see kernel().  The basis elements
+        led in the source block are those with zero target part."""
+        g, basis = self.g_rank, self.basis
+        lead = [k for k, _, _ in basis.leading_terms]
+        return [v[g:] for v, k in zip(basis.elements, lead) if k >= g]
 
     def preimage(self, b):
         """Some x with phi(x) = b mod S; see preimage()."""
@@ -432,7 +426,8 @@ def kernel(phi: GradedMap, cap=DEFAULT_DEGREE_CAP, modulo=()):
     with modulo, of {x : phi(x) in span(modulo)}.
 
     Over a quotient ring the kernel of the induced map on A-modules is
-    returned (entries in canonical form, zero vectors dropped).
+    returned, as Q-representatives that may lie in (z) phi.source;
+    minimal_generators takes their canonical forms.
     """
     return Elimination(phi, cap, modulo).kernel()
 

@@ -15,14 +15,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import ReductionPreconditionError
 from .ext_tor import to_presentation
-from .freemod import (
-    GradedFreeModule,
-    ModulePresentation,
-    map_from_columns,
-    scaled_basis,
-    vec_degree,
-    vec_is_zero,
-)
+from .freemod import GradedFreeModule, ModulePresentation, quotient_by, scaled_basis
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     minimal_generators,
@@ -38,10 +31,8 @@ class IdealData:
 
     def __init__(self, ring, generators):
         self.ring = ring
-        gens = [ring.normal_form(g) for g in generators]
-        gens = [g for g in gens if not g.is_zero()]
         F = GradedFreeModule(ring, (0,))
-        mins = minimal_generators([(g,) for g in gens], F)
+        mins = minimal_generators([(g,) for g in generators], F)
         self.generators = tuple(v[0] for v in mins)
         self.degrees = tuple(g.degree for g in self.generators)
         # A is graded with A_0 = K and (z) has no units, so 1 lies in I
@@ -101,14 +92,9 @@ def quotient_module(
     N: ModulePresentation, I: IdealData, n: int
 ) -> ModulePresentation:
     """N / I^n N (the zero module when n = 0)."""
-    F = N.cover
-    cols = [c for c in N.relations.columns() if not vec_is_zero(c)]
     if I.is_zero and n > 0:
         return N
-    prods = _power_products(I, n)
-    cols = cols + scaled_basis(F, prods)
-    twists = tuple(vec_degree(F, c) for c in cols)
-    return ModulePresentation(map_from_columns(twists, F, cols))
+    return quotient_by(N, _power_products(I, n), N.ring)
 
 
 class ReductionCertificate:
@@ -145,7 +131,7 @@ def is_reduction(
     elif J.generators:
         raise ReductionPreconditionError("candidate ideal is not contained in I")
     F = N.cover
-    psi = [c for c in N.relations.columns() if not vec_is_zero(c)]
+    psi = N.relations.columns()
     prods = _power_products(I, 0)
     for n in range(n_max + 1):
         jin = [yj * p for yj in J.generators for p in prods]

@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 
-from .freemod import GradedFreeModule, ModulePresentation, map_from_columns, vec_degree
-from .groebner import DEFAULT_DEGREE_CAP, relation_vectors
+from .freemod import ModulePresentation, quotient_by
+from .groebner import DEFAULT_DEGREE_CAP
 from .linalg import rank, row_reduce
 from .resolution import BettiTable, betti_table, resolve_over_Q
 from .rings import QuotientRing
@@ -29,11 +29,7 @@ def present_over_Q(M: ModulePresentation) -> ModulePresentation:
     ring = M.ring
     if not isinstance(ring, QuotientRing):
         return M
-    Q = ring.base
-    F = GradedFreeModule(Q, M.cover.twists)
-    cols = M.relations.columns() + relation_vectors(M.cover)
-    twists = tuple(vec_degree(F, c) for c in cols)
-    return ModulePresentation(map_from_columns(twists, F, cols))
+    return quotient_by(M, ring.relations, ring.base)
 
 
 def regularity(M: ModulePresentation, degree_cap=DEFAULT_DEGREE_CAP):

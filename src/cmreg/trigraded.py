@@ -70,7 +70,7 @@ class TrigradedRingSpec:
 
 class TrigradedFreeData:
     """Generator multidegrees (b1, b2, a) per homological level 0..d'.
-    Level keys are integers or decimal strings, one key per level."""
+    Level keys are integers or strings of ASCII digits, one key per level."""
 
     __slots__ = ("levels",)
 
@@ -78,6 +78,8 @@ class TrigradedFreeData:
         self.levels = {}
         seen = set()
         for key, gens in dict(levels).items():
+            if isinstance(key, str) and not (key.isascii() and key.isdigit()):
+                raise ValueError(f"level key {key!r} is not a string of ASCII digits")
             l = int(key) if isinstance(key, str) else _integer(key)
             if l in seen:
                 raise ValueError(f"two keys name level {l}")

@@ -18,7 +18,7 @@ from cmreg.ci_ops import (
 )
 from cmreg.ext_tor import ext
 from cmreg.fields import GF32003
-from cmreg.freemod import GradedMap
+from cmreg.freemod import GradedMap, free_presentation
 from cmreg.resolution import FreeResolution, resolve_over_A
 from cmreg.rings import PolyRing, QuotientRing
 
@@ -80,6 +80,19 @@ def test_induced_map_on_ext_hypersurface():
     assert chi.source.cover.twists == chi.target.cover.twists
     entry = chi.map.matrix[0][0]
     assert not entry.is_zero() and entry.degree == 0
+
+
+def test_induced_map_on_a_zero_ext_module():
+    # over A = K[x]/(x^2), Ext^i(A/(x), A) is A/(x) at i = 0 and zero above,
+    # so chi_0 has an empty target at i = 0 and empty source and target at 1
+    A, M, _, _ = hypersurface_setup()
+    T = _ops(M)
+    N = free_presentation(A, (0,))
+    chi = induced_on_ext(T, 0, 0, N)
+    assert chi.source.cover.rank == 1 and chi.target.cover.rank == 0
+    assert chi.map.matrix == ()
+    chi = induced_on_ext(T, 0, 1, N)
+    assert chi.source.cover.rank == chi.target.cover.rank == 0
 
 
 def test_induced_maps_two_relation():

@@ -387,6 +387,19 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
             # two keys naming level 1: neither may be dropped silently
             json.dumps({**good, "data": {**good["data"], "1": [[0, 0, 1]], "01": [[0, 0, 9]]}}),
             json.dumps({**good, "spec": {**good["spec"], "d": -1}}),
+            # a repeated key at any depth, which json.load would let the
+            # last copy win
+            '{"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]},'
+            ' "data": {"0": [[0, 0, 5]], "0": [[0, 0, 1]]}}',
+            '{"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2], "g": [9]},'
+            ' "data": {"0": [[0, 0, 5]]}}',
+            json.dumps({**good, "imax": 1})[:-1] + ', "imax": 2}',
+            # level keys that int() reads but that are not ASCII digits
+            *(
+                json.dumps({**good, "spec": {**good["spec"], "d": 10},
+                            "data": {**good["data"], key: [[0, 0, 1]]}})
+                for key in ("\u0661", "1_0", " +2 ")
+            ),
         ))
     ]
     grid = ["--module", "M", "--coeff", "N", "--ideal", "I"]

@@ -4,8 +4,14 @@ import random
 
 from helpers import cyclic_quotient, random_presentation, random_ses
 from cmreg.fields import GF32003
-from cmreg.freemod import NEG_INF, free_presentation
-from cmreg.regularity import present_over_Q, regularity
+from cmreg.freemod import (
+    NEG_INF,
+    GradedFreeModule,
+    ModulePresentation,
+    free_presentation,
+    map_from_columns,
+)
+from cmreg.regularity import betti_oracle, present_over_Q, regularity
 from cmreg.rings import PolyRing, QuotientRing
 
 Q2 = PolyRing(2, GF32003)
@@ -48,6 +54,21 @@ def test_present_over_Q_passthrough_and_pushforward():
     assert MQ.cover.twists == (0, 1)
     # one cube relation per cover basis vector
     assert MQ.relations.source.rank == 2
+
+
+def test_a_zero_relation_column_keeps_its_declared_twist():
+    # M = coker[x2, 0] over A = K[x1,x2]/(x1^2), the zero column of twist 3:
+    # over Q it keeps twist 3, where re-deriving twists from the columns
+    # gave None and the oracle failed on it
+    A = QuotientRing(Q2, [Q2.poly("x1^2")])
+    F = GradedFreeModule(A, (0,))
+    M = ModulePresentation(map_from_columns((1, 3), F, [(Q2.poly("x2"),), (Q2.zero,)]))
+    M1 = ModulePresentation(map_from_columns((1,), F, [(Q2.poly("x2"),)]))
+    assert present_over_Q(M).relations.source.twists == (1, 3, 2)
+    table = betti_oracle(M)
+    assert table == betti_oracle(M1)
+    assert table.entries == {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}
+    assert table.regularity() == regularity(M) == 1
 
 
 def test_short_exact_sequence_regularity_bounds(seed):

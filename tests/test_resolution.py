@@ -22,8 +22,10 @@ from cmreg.freemod import (
     NEG_INF,
     GradedFreeModule,
     GradedMap,
+    ModulePresentation,
     basis_vector,
     free_presentation,
+    map_from_columns,
     vec_mul_poly,
 )
 from cmreg.groebner import minimal_generators
@@ -178,6 +180,22 @@ def test_minimize_matches_the_reference(seed):
                 cancelled += sum(F.rank for F in R.modules)
                 cancelled -= sum(F.rank for F in small.modules)
     assert cancelled > 0
+
+
+def test_minimize_deletes_a_row_of_the_next_differential():
+    # the unit 1 at row 1, column 0 of d_1 cancels F_0's generator of twist
+    # 1 against F_1's first column, so d_2 loses its row 0; M = Q/(x1*x2)
+    Q = PolyRing(2, GF32003)
+    x1, x2, zero = Q.poly("x1"), Q.poly("x2"), Q.zero
+    F = GradedFreeModule(Q, (0, 1))
+    cols = [(x1, Q.one), (zero, x2), (Q.poly("x1*x2"), zero)]
+    M = ModulePresentation(map_from_columns((1, 2, 2), F, cols))
+    R = resolve_over_Q(M, minimal=False)
+    assert [F.rank for F in R.modules] == [2, 3, 1]
+    small = minimize(R)
+    assert _same(small, ref.minimize(R))
+    assert [F.rank for F in small.modules] == [1, 1, 0]
+    assert betti_table(small) == betti_oracle(M)
 
 
 def test_minimal_presentation_drops_redundant_generator():

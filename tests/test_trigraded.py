@@ -173,6 +173,10 @@ def test_data_validation():
             TrigradedFreeData({keys[0]: [(0, 0, 1)], keys[1]: [(0, 0, 9)]}, spec)
     with pytest.raises(ValueError):
         TrigradedFreeData({"1": [(0, 0, 1)], "01": []}, spec)
+    # a string level key is ASCII digits only, though int() reads more
+    for key in ("\u0661", "1_0", " +2 ", ""):
+        with pytest.raises(ValueError):
+            TrigradedFreeData({"0": [(0, 0, 0)], key: [(0, 0, 1)]})
     with pytest.raises(ValueError):
         TrigradedFreeData({0: [(0, 0, 0)], 1.5: [(0, 0, 1)], True: [(0, 0, 2)]}, spec)
     with pytest.raises(ValueError):
