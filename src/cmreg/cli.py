@@ -3,7 +3,8 @@
 Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound,
 each accepting only the options it reads.  --imax, --nmax and --degree-cap
 take the flag if given, else the problem file's params value or the
-trigraded data file's key of that name, else the default.
+trigraded data file's key of that name, else the default.  A run builds
+only its subcommand's parser, and every parser for top-level help and errors.
 Exit codes: 0 success, 1 usage, parse or semantic error or an output path
 that cannot be written, 2 degree-cap breach, 3 bound violation, 4 internal
 consistency failure.
@@ -104,12 +105,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def nonnegative(text):
-    """The int value of text, which must be >= 0: the type of every
-    homological index, cap and grid size."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{value} is negative")
-    return value
+    """The int value of text, ASCII digits as a problem file's integers are
+    (int() also takes '1_0', ' 2 ', '+1', '٣'): every index, cap and size."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a string of ASCII digits")
+    return int(text)
+
+
+def signed(text):
+    """An optional '-', then what nonnegative() reads: --rho and --const."""
+    return -nonnegative(text[1:]) if text.startswith("-") else nonnegative(text)
+
+
+signed.__name__ = "int"  # argparse's messages name the type: "invalid int value"
 
 
 def _load(path: str):
@@ -130,9 +138,12 @@ def _setting(args, source, key, default):
     if flag is not None:
         return flag
     try:
-        return nonnegative(_integer(source.get(key, default)))
+        value = _integer(source.get(key, default))
     except ValueError as exc:
         raise ProblemSemanticError(f"bad {key}: {exc}")
+    if value < 0:
+        raise ProblemSemanticError(f"bad {key}: {value} is negative")
+    return value
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -367,7 +378,7 @@ def cmd_trigraded_bound(args):
 # -- argument wiring ------------------------------------------------------------
 
 
-def _add_common(sp, coeff=False, ideal=False):
+def _add_common(sp, fn, coeff=False, ideal=False):
     sp.add_argument("problem", help="problem file path")
     sp.add_argument("--module", required=True, help="module name")
     if coeff:
@@ -375,71 +386,92 @@ def _add_common(sp, coeff=False, ideal=False):
     if ideal:
         sp.add_argument("--ideal", required=True, help="ideal name")
     sp.add_argument("--degree-cap", dest="degree_cap", type=nonnegative, default=None)
+    sp.set_defaults(fn=fn)
+
+
+def _resolve_args(sp):
+    _add_common(sp, cmd_resolve)
+    sp.add_argument("--over", choices=("A", "Q"), default="A")
+    sp.add_argument(
+        "--cap", type=nonnegative, default=6, help="homological cap (--over A only)"
+    )
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
+
+
+def _reg_args(sp):
+    _add_common(sp, cmd_reg)
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
+
+
+def _ext_tor_args(sp):
+    _add_common(sp, cmd_ext_tor, coeff=True)
+    sp.add_argument("--index", type=nonnegative, required=True)
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
+
+
+def _rho_args(sp):
+    _add_common(sp, cmd_rho, ideal=True)
+    sp.add_argument("--nmax", type=nonnegative, default=3, help="reduction check horizon")
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
+
+
+def _grid_args(sp, fn):
+    _add_common(sp, fn, coeff=True, ideal=True)
+    sp.add_argument("--imax", type=nonnegative, default=None)
+    sp.add_argument("--nmax", type=nonnegative, default=None)
+    sp.add_argument("--variant", choices=("power", "quotient", "both"), default="power")
+    sp.add_argument("--json", default=None)
+    if fn is cmd_sweep:
+        sp.add_argument("--csv", default=None)
+    else:
+        sp.add_argument("--rho", type=signed, default=None, help="rho upper bound")
+        sp.add_argument("--const", type=signed, default=None)
+
+
+def _trigraded_args(sp):
+    sp.add_argument("data", help="JSON file with spec/data blocks")
+    sp.add_argument("--imax", type=nonnegative, default=None)
+    sp.add_argument("--nmax", type=nonnegative, default=None)
+    sp.add_argument("--out", default=None, help="write output here (atomic)")
+    sp.set_defaults(fn=cmd_trigraded_bound)
+
+
+#: subcommand -> (help line, function adding its arguments and its fn)
+COMMANDS = {
+    "resolve": ("minimal graded free resolution", _resolve_args),
+    "reg": ("Castelnuovo-Mumford regularity", _reg_args),
+    "ext": ("one Ext module and its regularity", _ext_tor_args),
+    "tor": ("one Tor module and its regularity", _ext_tor_args),
+    "rho": ("certified upper bound for rho_N(I)", _rho_args),
+    "sweep": ("sweep an (i, n) grid", lambda sp: _grid_args(sp, cmd_sweep)),
+    "verify": ("verify an (i, n) grid", lambda sp: _grid_args(sp, cmd_verify)),
+    "trigraded-bound": ("twist-calculus bound line from free data", _trigraded_args),
+}
 
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="cmreg", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"cmreg {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("resolve", help="minimal graded free resolution")
-    _add_common(sp)
-    sp.add_argument("--over", choices=("A", "Q"), default="A")
-    sp.add_argument(
-        "--cap", type=nonnegative, default=6, help="homological cap (--over A only)"
-    )
-    sp.add_argument("--out", default=None, help="write output here (atomic)")
-    sp.set_defaults(fn=cmd_resolve)
-
-    sp = sub.add_parser("reg", help="Castelnuovo-Mumford regularity")
-    _add_common(sp)
-    sp.add_argument("--out", default=None, help="write output here (atomic)")
-    sp.set_defaults(fn=cmd_reg)
-
-    for name, what in (("ext", "Ext"), ("tor", "Tor")):
-        sp = sub.add_parser(name, help=f"one {what} module and its regularity")
-        _add_common(sp, coeff=True)
-        sp.add_argument("--index", type=nonnegative, required=True)
-        sp.add_argument("--out", default=None, help="write output here (atomic)")
-        sp.set_defaults(fn=cmd_ext_tor)
-
-    sp = sub.add_parser("rho", help="certified upper bound for rho_N(I)")
-    _add_common(sp, ideal=True)
-    sp.add_argument("--nmax", type=nonnegative, default=3, help="reduction check horizon")
-    sp.add_argument("--out", default=None, help="write output here (atomic)")
-    sp.set_defaults(fn=cmd_rho)
-
-    for name, fn in (("sweep", cmd_sweep), ("verify", cmd_verify)):
-        sp = sub.add_parser(name, help=f"{name} an (i, n) grid")
-        _add_common(sp, coeff=True, ideal=True)
-        sp.add_argument("--imax", type=nonnegative, default=None)
-        sp.add_argument("--nmax", type=nonnegative, default=None)
-        sp.add_argument(
-            "--variant", choices=("power", "quotient", "both"), default="power"
-        )
-        sp.add_argument("--json", default=None)
-        if name == "sweep":
-            sp.add_argument("--csv", default=None)
-        else:
-            sp.add_argument("--rho", type=int, default=None, help="rho upper bound")
-            sp.add_argument("--const", type=int, default=None)
-        sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser(
-        "trigraded-bound", help="twist-calculus bound line from free data"
-    )
-    sp.add_argument("data", help="JSON file with spec/data blocks")
-    sp.add_argument("--imax", type=nonnegative, default=None)
-    sp.add_argument("--nmax", type=nonnegative, default=None)
-    sp.add_argument("--out", default=None, help="write output here (atomic)")
-    sp.set_defaults(fn=cmd_trigraded_bound)
+    for name, (line, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=line))
     return ap
 
 
+def _parse(argv):
+    """build_parser().parse_args(argv), but only argv[0]'s parser when that suffices."""
+    if argv and argv[0] in COMMANDS:
+        sp = _Parser(prog=f"cmreg {argv[0]}")
+        COMMANDS[argv[0]][1](sp)
+        args, rest = sp.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except DegreeCapExceeded as exc:
         print(f"cmreg: degree cap exceeded: {exc}", file=sys.stderr)

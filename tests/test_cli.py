@@ -11,7 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from cmreg.cli import atomic_write, main
+from test_cli_options_read import ARGV, GRID, PROBLEM, TRIGRADED
+
+import cmreg.cli as cli
+from cmreg.cli import atomic_write, build_parser, main
+from cmreg.errors import (
+    BoundViolation,
+    CmregError,
+    DegreeCapExceeded,
+    InternalConsistencyError,
+)
 
 HYPERSURFACE = """\
 ring d=1 char=32003
@@ -288,6 +297,27 @@ def test_parse_and_usage_errors_exit_1(tmp_path, capsys):
     assert main(["reg", prob]) == 1
     assert main(["frobnicate", prob]) == 1
     capsys.readouterr()
+    # integers are ASCII digits, as in a problem file, and --rho/--const
+    # may carry a leading '-'; int() alone also reads each of these
+    grid = ["--module", "M", "--coeff", "N", "--ideal", "I", "--imax", "0", "--nmax", "0"]
+    blob = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]}, "data": {"0": [[0, 0, 5]]}}
+    tri = _write(tmp_path, "tri.json", json.dumps(blob))
+    for text in ("1_0", " 2 ", "\u0663", "+1", "-0", ""):
+        assert main(["trigraded-bound", tri, "--imax", text]) == 1, text
+        assert main(["sweep", prob, *grid, "--nmax", text]) == 1, text
+        assert main(["resolve", prob, "--module", "M", "--cap", text]) == 1, text
+    for text in ("1_0", " 2 ", "\u0663", "+1", "-1_0", "-\u0663", "- 1", "-"):
+        assert main(["verify", prob, *grid, "--rho", text]) == 1, text
+        assert main(["verify", prob, *grid, "--rho", "3", "--const", text]) == 1, text
+    err = capsys.readouterr().err
+    assert "cmreg: argument --imax: invalid nonnegative value: '1_0'" in err
+    assert "cmreg: argument --rho: invalid int value: '+1'" in err
+    out = str(tmp_path / "v.json")
+    assert main(["verify", prob, *grid, "--rho", "-0", "--const", "9", "--json", out]) == 0
+    report = json.loads(open(out).read())["report"]
+    assert report["rho_upper"] == 0
+    assert main(["verify", prob, *grid, "--rho", "0", "--const", "-99", "--json", out]) == 3
+    capsys.readouterr()
 
 
 def test_trigraded_bound_command(tmp_path, capsys):
@@ -497,3 +527,104 @@ def test_flags_beat_the_files_settings(tmp_path, capsys):
     assert main(["trigraded-bound", data]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["imax"], payload["nmax"]) == (3, 3)
+
+
+def _reference_main(argv):
+    """main with the whole parser built on every call, as before subcommand
+    dispatch: the reference the dispatch must match byte for byte."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except DegreeCapExceeded as exc:
+        print(f"cmreg: degree cap exceeded: {exc}", file=sys.stderr)
+        return 2
+    except BoundViolation as exc:
+        print(f"cmreg: bound violation: {exc}", file=sys.stderr)
+        return 3
+    except InternalConsistencyError as exc:
+        print(f"cmreg: internal consistency: {exc}", file=sys.stderr)
+        return 4
+    except CmregError as exc:
+        print(f"cmreg: {exc}", file=sys.stderr)
+        return 1
+
+
+def _happy_argv(name):
+    """The argv on which test_cli_options_read runs subcommand name."""
+    return [name, "t.json" if name == "trigraded-bound" else "p.prob", *ARGV[name]]
+
+
+#: argv on which main must answer exactly as _reference_main
+DISPATCH_ARGV = [
+    *(_happy_argv(name) for name in ARGV),
+    # no subcommand: the top level answers
+    [], ["-h"], ["--version"], ["--vers"], ["--"], ["frobnicate", "p.prob"],
+    # arguments the subcommand leaves over
+    ["verify", "p.prob", *GRID, "--f", "2"],
+    ["trigraded-bound", "t.json", "extra"],
+    ["reg", "p.prob", "--module", "M", "--version"],
+    # the subcommand's own errors and help
+    ["reg", "p.prob"],
+    ["ext", "p.prob", "--module", "M", "--index", "1"],
+    ["sweep", "p.prob", *GRID[:-4], "--imax", "x"],
+    ["resolve", "p.prob", "--module", "M", "--over", "B"],
+    ["-h", "reg"], ["reg", "-h"], ["verify", "p.prob", "--help"],
+    # abbreviations, the last one ambiguous (--coeff or --csv)
+    ["sweep", "p.prob", "--mod", "M", "--co", "N", "--id", "I", "--im", "0", "--nm", "0"],
+    ["verify", "p.prob", *GRID, "--r", "-1", "--cons", "9"],
+    ["sweep", "p.prob", "--module", "M", "--c", "N", "--ideal", "I"],
+]
+
+
+def _outcome(run, argv, capsys, seen):
+    """(exit code, stdout, stderr, the namespaces the command saw)."""
+    seen.clear()
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # -h and --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, list(seen)
+
+
+def test_dispatch_answers_as_the_whole_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.prob").write_text(PROBLEM)
+    (tmp_path / "t.json").write_text(json.dumps(TRIGRADED))
+    seen = []
+    # each parser reads its fn default from the module when it is built
+    for name in [n for n in dir(cli) if n.startswith("cmd_")]:
+        def record(args, command=getattr(cli, name)):
+            seen.append(dict(vars(args)))
+            return command(args)
+        monkeypatch.setattr(cli, name, record)
+    codes = set()
+    for argv in DISPATCH_ARGV:
+        got = _outcome(main, argv, capsys, seen)
+        assert got == _outcome(_reference_main, argv, capsys, seen), argv
+        codes.add(got[0])
+    assert codes == {0, 1}
+    assert sorted(os.listdir(tmp_path)) == ["p.prob", "t.json"]
+
+
+def test_main_builds_only_the_named_subcommands_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.prob").write_text(PROBLEM)
+    (tmp_path / "t.json").write_text(json.dumps(TRIGRADED))
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    for name in ARGV:
+        built.clear()
+        assert main(_happy_argv(name)) == 0
+        assert built == [f"cmreg {name}"]
+    # the top level answers with the whole parser: itself and eight more
+    built.clear()
+    assert main(["frobnicate"]) == 1
+    assert len(built) == 9
+    capsys.readouterr()

@@ -134,6 +134,32 @@ def test_tor_symmetry():
         assert _reg(tor(M, N, i)) == _reg(tor(N, M, i))
 
 
+@pytest.mark.parametrize(
+    "setup", [hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup]
+)
+def test_tor_symmetry_on_whole_tables(setup, seed):
+    # Tor_i(M, N) = Tor_i(N, M) as graded modules, so the minimal resolutions
+    # over Q of the two presentations have one Betti table, and the Hilbert
+    # functions agree; on the setup's pair, then on seeded ones (max_deg=2
+    # keeps clear of regularity's heavy tail over the ci3 ring)
+    A, M, N, I = setup()
+    rng = random.Random(seed)
+    pairs = [(M, N)] + [
+        (random_presentation(rng, A, max_deg=2), random_presentation(rng, A, max_deg=2))
+        for _ in range(3)
+    ]
+    for M, N in pairs:
+        for i in range(4):
+            T, U = tor(M, N, i).presentation, tor(N, M, i).presentation
+            tables = [betti_table(resolve_over_Q(present_over_Q(P))) for P in (T, U)]
+            assert tables[0] == tables[1], (i, str(tables[0]), str(tables[1]))
+            low = min(T.generator_degrees + U.generator_degrees, default=0)
+            window = range(low, low + 6)
+            assert [presentation_hilbert(T, s) for s in window] == [
+                presentation_hilbert(U, s) for s in window
+            ], i
+
+
 def test_ext_target_shift():
     # Ext^i(M, N(a)) = Ext^i(M, N)(a), so regularities differ by a
     A, M, N, I = hypersurface_setup()

@@ -12,6 +12,7 @@ import reference_parser
 from helpers import PROBLEM_VARIANTS, problem_file, random_signed_poly
 from cmreg.errors import HomogeneityError, ProblemSemanticError, ProblemSyntaxError
 from cmreg.fields import field_of_characteristic
+from cmreg.freemod import presentation_hilbert
 from cmreg.problemfile import parse_problem, pretty_print
 from cmreg.regularity import regularity
 from cmreg.rings import GradedPoly, PolyRing, QuotientRing, parse_poly
@@ -318,3 +319,65 @@ def test_mutated_polynomials_read_as_the_reference_reads_them(char, seed, mutati
     # the reference crashed on a denominator divisible by p
     old = outcome(reference_parser.parse_poly, (ValueError, HomogeneityError, ZeroDivisionError))
     assert outcome(parse_poly) == old, text
+
+
+def _integer_module_text(rng, ring):
+    """A seeded module line over ring (char 0), as problem-file text with
+    integer coefficients in [-6, 6].  Entries use only standard monomials,
+    and the reductions of ring's quotients have unit coefficients, so each
+    entry is in normal form in every characteristic.  Each relation column
+    keeps one coefficient 1, so no column vanishes mod p, which a problem
+    file refuses."""
+
+    def monomial(exps):
+        return "*".join(f"x{k + 1}^{e}" for k, e in enumerate(exps) if e) or "1"
+
+    twists = sorted(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+    cols = []
+    for _ in range(rng.randint(1, 3)):
+        s = twists[0] + rng.randint(1, 2)
+        terms = [
+            (k, exps)
+            for k, t in enumerate(twists) if s >= t
+            for exps in ring.std_monomials_of_degree(s - t)
+        ]
+        unit = rng.choice(terms)
+        col = ["" for _ in twists]
+        for k, exps in terms:
+            c = 1 if (k, exps) == unit else rng.randint(-6, 6)
+            if c:
+                col[k] += f" {'-' if c < 0 else '+'} {abs(c)}*{monomial(exps)}"
+        cols.append("[" + ", ".join(e.strip() or "0" for e in col) + "]")
+    return f"module M: targets {twists}; relations [{', '.join(cols)}]\n"
+
+
+def _hilbert_by_characteristic(body, window):
+    """{p: [dim (M_p)_s for s in window]} for the module M of body, read
+    under the ring line of each characteristic p."""
+    dims = {}
+    for p in (0, 2, 3, 5, 7, 32003):
+        M = parse_problem(f"ring d=3 char={p}\n" + body).module("M")
+        dims[p] = [presentation_hilbert(M, s) for s in window]
+    return dims
+
+
+@pytest.mark.parametrize("quotient", ["", "quotient: x1^2; x2^2 - x1*x3\n"])
+def test_hilbert_functions_only_grow_mod_p(quotient, seed):
+    # M_Z presented by integer matrices: each graded piece of M_p is the
+    # cokernel of the same integer matrix as M_0's, and a rank mod p is at
+    # most the rank over QQ, so dim (M_p)_s >= dim (M_0)_s exactly.  Betti
+    # numbers are only semicontinuous, so they are not compared.
+    rng = random.Random(seed)
+    ring0 = parse_problem("ring d=3 char=0\n" + quotient).ring
+    for _ in range(6):
+        body = quotient + _integer_module_text(rng, ring0)
+        # generators sit in degrees 0 and 1, relations in 1 to 3
+        dims = _hilbert_by_characteristic(body, range(6))
+        for p, dims_p in dims.items():
+            assert all(a >= b for a, b in zip(dims_p, dims[0])), (p, body, dims)
+    # the inequality can be strict: x1 + x2 and x1 - x2 span one line mod 2
+    dims = _hilbert_by_characteristic(
+        quotient + "module M: targets [0]; relations [[x1 + x2], [x1 - x2]]\n", range(3)
+    )
+    assert dims[2][1] == dims[0][1] + 1
+    assert all(dims[p] == dims[0] for p in (3, 5, 7, 32003))
