@@ -40,7 +40,6 @@ from .freemod import (
     ModulePresentation,
     cyclic_presentation,
     free_presentation,
-    presentation_hilbert,
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -65,7 +64,7 @@ from .rees import (
     rho_upper,
     unit_ideal,
 )
-from .regularity import betti_oracle, present_over_Q, regularity
+from .regularity import betti_oracle, hilbert_function, present_over_Q, regularity
 from .resolution import (
     BettiTable,
     FreeResolution,

@@ -120,13 +120,17 @@ def signed(text):
 signed.__name__ = "int"  # argparse's messages name the type: "invalid int value"
 
 
-def _load(path: str):
+def _read(path: str) -> str:
+    """The text of an input file, which must be UTF-8."""
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemSemanticError(f"cannot read {path}: {exc}")
-    return parse_problem(text)
+
+
+def _load(path: str):
+    return parse_problem(_read(path))
 
 
 def _setting(args, source, key, default):
@@ -332,12 +336,11 @@ def _unique_keys(pairs):
 
 def cmd_trigraded_bound(args):
     try:
-        with open(args.data) as fh:
-            blob = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ProblemSemanticError(f"cannot read {args.data}: {exc}")
+        blob = json.loads(_read(args.data), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProblemSyntaxError(str(exc), exc.lineno, exc.colno)
+    except RecursionError:
+        raise ProblemSemanticError("bad trigraded data: JSON nested too deeply") from None
     try:
         unknown = sorted(set(blob) - set(TRIGRADED_KEYS))
         if unknown:

@@ -11,7 +11,7 @@ is the quotient by the empty sequence, so nothing here asks which it is.
 from __future__ import annotations
 
 from .errors import HomogeneityError
-from .rings import GradedPoly, PolyRing, monomial_mul
+from .rings import GradedPoly, PolyRing
 
 #: Regularity of the zero module.
 NEG_INF = float("-inf")
@@ -81,10 +81,6 @@ def vec_mul_poly(v, p: GradedPoly):
     return tuple(a * p for a in v)
 
 
-def vec_mul_term(v, exps, c):
-    return tuple(a.mul_term(exps, c) for a in v)
-
-
 def vec_degree(F: GradedFreeModule, v):
     """Common degree of a homogeneous vector; None for the zero vector."""
     deg = None
@@ -114,56 +110,6 @@ def scaled_basis(F: GradedFreeModule, scalars):
         for s in scalars
         for k in range(F.rank)
     ]
-
-
-# -- graded pieces ----------------------------------------------------------
-
-
-def piece_basis(F: GradedFreeModule, s: int):
-    """Monomial basis of the degree-s piece of F, as (position, exps) pairs.
-
-    Over a quotient ring only standard monomials (normal forms mod (z))
-    appear, so this is an honest K-basis in both cases.
-    """
-    out = []
-    for k, t in enumerate(F.twists):
-        if s - t >= 0:
-            out.extend((k, e) for e in F.ring.std_monomials_of_degree(s - t))
-    return out
-
-
-def span_matrix(F: GradedFreeModule, gens, s: int, basis=None):
-    """Rows spanning the degree-s piece of the submodule generated by gens.
-
-    Each generator of degree t is multiplied by all degree-(s-t) monomials
-    (standard monomials over a quotient ring) and written in coordinates.
-    Over Q a multiple's coordinates are its generator's, moved to the
-    product monomials; over a quotient they are those of its normal form.
-    """
-    if basis is None:
-        basis = piece_basis(F, s)
-    index = {be: i for i, be in enumerate(basis)}
-    zero = F.base.field.zero
-    monomials = {}
-    rows = []
-    for g in gens:
-        d = vec_degree(F, g)
-        if d is None or d > s:
-            continue
-        if s - d not in monomials:
-            monomials[s - d] = F.ring.std_monomials_of_degree(s - d)
-        for e in monomials[s - d]:
-            row = [zero] * len(basis)
-            if F.ring.relations:
-                for k, p in enumerate(vec_reduce_entries(F, vec_mul_term(g, e, 1))):
-                    for m, c in p.terms.items():
-                        row[index[(k, m)]] = c
-            else:
-                for k, p in enumerate(g):
-                    for m, c in p.terms.items():
-                        row[index[(k, monomial_mul(m, e))]] = c
-            rows.append(row)
-    return rows
 
 
 # -- homogeneous maps --------------------------------------------------------
@@ -318,18 +264,3 @@ def cyclic_presentation(ring, gens) -> ModulePresentation:
     gens = [g for g in gens if not g.is_zero()]
     source = GradedFreeModule(ring, tuple(g.degree for g in gens))
     return ModulePresentation(GradedMap(source, target, [list(gens)]))
-
-
-def presentation_hilbert(M: ModulePresentation, s: int) -> int:
-    """dim_K of the degree-s piece of coker(relations).
-
-    Over a quotient ring the piece basis already consists of standard
-    monomials, so the (z)-relations need no extra rows here.
-    """
-    from .linalg import rank
-
-    basis = piece_basis(M.cover, s)
-    if not basis:
-        return 0
-    rows = span_matrix(M.cover, M.relations.columns(), s, basis)
-    return len(basis) - rank(rows, M.cover.base.field)

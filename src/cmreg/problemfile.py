@@ -12,13 +12,14 @@ Each line is read as one rings.TokenStream of integers, names and single
 characters, with whitespace free between tokens.  Polynomials in x1..xd
 (+, -, *, ^, integer or p/q coefficients, parentheses) are read from the
 same stream in place, so a syntax error gives the line and column of the
-token it stopped at.  The ring line comes first, the optional quotient
-line before any module or ideal; without one (or with an empty one) the
-ring is Q itself, which sweep and verify reject.  Entries are stored in
-canonical form in A, so pretty_print o parse_problem is the identity on
-files it emits.  The params keys are imax, nmax (the sweep grid) and
-degree_cap, integers >= 0, and candidates, names of extra ideals for
-rho_upper.  A sweep's homological cap is 2*imax + 2, not a parameter.
+token it stopped at.  The ring line comes first, with 1 <= d <= MAX_VARS,
+the optional quotient line before any module or ideal; without one (or
+with an empty one) the ring is Q itself, which sweep and verify reject.
+Entries are stored in canonical form in A, so pretty_print o parse_problem
+is the identity on files it emits.  The params keys are imax, nmax (the
+sweep grid) and degree_cap, integers >= 0, and candidates, names of extra
+ideals for rho_upper.  A sweep's homological cap is 2*imax + 2, not a
+parameter.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .rings import PolyRing, QuotientRing, TokenStream
 
 #: run-parameter keys accepted on the params line, in canonical print order
 PARAM_KEYS = ("imax", "nmax", "degree_cap", "candidates")
+
+#: the largest d a ring line may declare: each monomial is a d-tuple
+MAX_VARS = 1000
 
 
 class ProblemFile:
@@ -127,8 +131,8 @@ def parse_problem(text: str) -> ProblemFile:
             d = ts.integer()
             ts.expect("char", "=")
             char = ts.integer()
-            if d < 1:
-                raise ProblemSemanticError("need d >= 1", lineno)
+            if not 1 <= d <= MAX_VARS:
+                raise ProblemSemanticError(f"need 1 <= d <= {MAX_VARS}", lineno)
             try:
                 field = field_of_characteristic(char)
             except ValueError as exc:

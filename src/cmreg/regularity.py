@@ -8,7 +8,8 @@ polynomial ring, and the regularities over A and Q agree.
 
 The oracle computes beta_ij = dim Tor_i(M, K)_j from the Koszul complex on
 the variables, entirely by row reduction on graded pieces.  It shares no
-code path with the Groebner engine, which is the point.
+code path with the Groebner engine, which is the point.  The same pieces
+give Hilbert functions.
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ class GradedPieces:
         if self.lo <= s < self.hi and (var, s) in self._mult:
             return self._mult[var, s]
         return [[self.field.zero] * self.dim(s) for _ in range(self.dim(s + 1))]
+
+
+def hilbert_function(M: ModulePresentation, lo: int, hi: int):
+    """[dim_K M_s for lo <= s <= hi], read off one GradedPieces window."""
+    pieces = GradedPieces(present_over_Q(M), lo, hi)
+    return [pieces.dim(s) for s in range(lo, hi + 1)]
 
 
 def _koszul_matrix(pieces: GradedPieces, i: int, j: int):

@@ -7,13 +7,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from reference_pieces import piece_basis
 from cmreg.fields import GF32003
 from cmreg.freemod import (
     GradedFreeModule,
     GradedMap,
     ModulePresentation,
     free_presentation,
-    piece_basis,
     vec_reduce_entries,
 )
 from cmreg.problemfile import parse_problem

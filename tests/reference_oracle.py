@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from cmreg.freemod import ModulePresentation, piece_basis, span_matrix
+from reference_pieces import piece_basis, span_matrix
+from cmreg.freemod import ModulePresentation
 from cmreg.linalg import echelon, rank, reduce_vector
 from cmreg.regularity import present_over_Q
 from cmreg.resolution import BettiTable

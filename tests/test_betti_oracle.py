@@ -17,9 +17,10 @@ from helpers import (
     reduced_hypersurface_setup,
     two_relation_setup,
 )
+from reference_pieces import piece_basis, presentation_hilbert
 from cmreg.fields import GF32003, QQ
-from cmreg.freemod import free_presentation, piece_basis, presentation_hilbert
-from cmreg.regularity import GradedPieces, betti_oracle, present_over_Q
+from cmreg.freemod import free_presentation
+from cmreg.regularity import GradedPieces, betti_oracle, hilbert_function, present_over_Q
 from cmreg.resolution import betti_table, resolve_over_A, resolve_over_Q
 from cmreg.rings import PolyRing, QuotientRing
 
@@ -125,9 +126,10 @@ def test_resolution_euler_characteristic(seed, monkeypatch):
         if window is None:  # the zero module
             assert not any(F.rank for F in R.modules)
             continue
+        hilb = hilbert_function(M, *window)
         for s in range(window[0], window[1] + 1):
             chi = sum((-1) ** i * len(piece_basis(F, s)) for i, F in enumerate(R.modules))
-            assert chi == presentation_hilbert(M, s), (M, s)
+            assert chi == hilb[s - window[0]], (M, s)
 
 
 def _acceptance_modules():
@@ -176,8 +178,9 @@ def _product(field, A, B, ncols):
 
 
 def test_pieces_match_the_hilbert_function_and_commute(seed):
-    # dim M_s against the ambient rank count of presentation_hilbert on the
-    # oracle's whole window, and x_v x_w = x_w x_v as maps M_s -> M_{s+2}
+    # dim M_s against the ambient rank count of the reference
+    # presentation_hilbert on the oracle's whole window, and
+    # x_v x_w = x_w x_v as maps M_s -> M_{s+2}
     rng = random.Random(seed + 1)
     modules = [random_presentation(rng, PolyRing(3, GF32003)) for _ in range(6)]
     modules += [random_presentation(rng, Q2) for _ in range(6)]
@@ -199,6 +202,16 @@ def test_pieces_match_the_hilbert_function_and_commute(seed):
                 assert vw == wv, (M, s, v, w)
                 products += any(any(r) for r in vw)
     assert products > 0
+    # hilbert_function over the ci3 ring, through present_over_Q, against the
+    # reference's count in standard monomials mod (z); and over QQ
+    A = ci3_setup()[0]
+    modules = [random_presentation(rng, A, max_deg=2) for _ in range(4)]
+    modules += [random_presentation(rng, PolyRing(d, QQ)) for d in (2, 2, 3)]
+    for M in modules:
+        lo = min(M.cover.twists) - 1
+        assert hilbert_function(M, lo, lo + 8) == [
+            presentation_hilbert(M, s) for s in range(lo, lo + 9)
+        ], M
 
 
 def test_resolve_over_A_euler_characteristic(seed):
@@ -221,8 +234,9 @@ def test_resolve_over_A_euler_characteristic(seed):
             top = max(t for F in R.modules for t in F.twists + (lo,)) + 3
         else:
             top = min(R.modules[-1].twists)
+        hilb = hilbert_function(M, lo, top)
         for s in range(lo, top + 1):
             chi = sum((-1) ** i * len(piece_basis(F, s)) for i, F in enumerate(R.modules))
-            assert chi == presentation_hilbert(M, s), (M, s)
+            assert chi == hilb[s - lo], (M, s)
             checked += 1
     assert checked > len(modules) and 0 < complete < len(modules)

@@ -403,8 +403,18 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
     zero7 = _write(tmp_path, "zero7.prob", REDUCED.replace("char=32003", "char=7")
                    + "ideal J: 1/14*x1\n")
     long_int = _write(tmp_path, "long.prob", "ring d=1 char=" + "1" * 5000 + "\n")
+    # more variables than an index can hold
+    huge_d = _write(tmp_path, "huge_d.prob", "ring d=299999999999999999999 char=32003\n"
+                    "module M: targets [0]; relations [[x1]]\n")
+    # UTF-16 with its byte-order mark, which is not UTF-8
+    utf16 = tmp_path / "utf16.prob"
+    utf16.write_bytes(b"\xff\xfe" + HYPERSURFACE.encode("utf-16-le"))
     good = {"spec": {"d": 1, "b": 1, "c": 1, "h": [3], "g": [2]}, "data": {"0": [[0, 0, 5]]}}
     tri = _write(tmp_path, "tri.json", json.dumps({**good, "imax": -1}))
+    tri_utf16 = tmp_path / "tri_utf16.json"
+    tri_utf16.write_bytes(b"\xff\xfe" + json.dumps(good).encode("utf-16-le"))
+    tri_deep = _write(tmp_path, "tri_deep.json",
+                      '{"spec": ' + "[" * 200000 + "]" * 200000 + "}")
     tri_bad = [
         _write(tmp_path, f"tri{k}.json", text)
         for k, text in enumerate((
@@ -453,6 +463,10 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
         ["reg", zero32003, "--module", "M"],
         ["rho", zero7, "--module", "N", "--ideal", "I"],
         ["reg", long_int, "--module", "M"],
+        ["reg", huge_d, "--module", "M"],
+        ["reg", str(utf16), "--module", "M"],
+        ["trigraded-bound", str(tri_utf16)],
+        ["trigraded-bound", tri_deep],
         ["trigraded-bound", tri, "--nmax", "-1"],
         ["reg", hyp, "--module", "M", "--degree-cap", "-1"],
         ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--degree-cap", "-3"],

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import vector_coords
+from reference_pieces import piece_basis, span_matrix
 from cmreg.errors import HomogeneityError
 from cmreg.fields import GF32003
 from cmreg.freemod import (
@@ -12,11 +13,9 @@ from cmreg.freemod import (
     basis_vector,
     free_presentation,
     map_from_columns,
-    piece_basis,
-    presentation_hilbert,
-    span_matrix,
     vec_degree,
 )
+from cmreg.regularity import hilbert_function
 from cmreg.rings import PolyRing, QuotientRing
 
 Q = PolyRing(2, GF32003)
@@ -106,12 +105,12 @@ def test_presentation_hilbert_known_values():
     M = ModulePresentation(
         GradedMap(GradedFreeModule(Q, (1,)), GradedFreeModule(Q, (0,)), [[Q.poly("x1")]])
     )
-    assert [presentation_hilbert(M, s) for s in range(4)] == [1, 1, 1, 1]
+    assert hilbert_function(M, 0, 3) == [1, 1, 1, 1]
     F = free_presentation(Q, (0,))
-    assert [presentation_hilbert(F, s) for s in range(3)] == [1, 2, 3]
+    assert hilbert_function(F, 0, 2) == [1, 2, 3]
     # A itself as an A-module: 1, 2, 2, 2, ...
     MA = free_presentation(A, (0,))
-    assert [presentation_hilbert(MA, s) for s in range(4)] == [1, 2, 2, 2]
+    assert hilbert_function(MA, 0, 3) == [1, 2, 2, 2]
 
 
 def test_map_from_columns_orientation():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import random_poly, random_presentation, vec_sub, vector_coords
+from reference_pieces import piece_basis, span_matrix
 from cmreg.errors import DegreeCapExceeded
 from cmreg.fields import GF32003, QQ
 from cmreg.freemod import (
@@ -12,8 +13,6 @@ from cmreg.freemod import (
     GradedMap,
     basis_vector,
     map_from_columns,
-    piece_basis,
-    span_matrix,
     vec_add,
     vec_degree,
     vec_is_zero,

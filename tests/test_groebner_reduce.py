@@ -20,9 +20,10 @@ from helpers import (
     two_relation_setup,
     vec_sub,
 )
+from reference_pieces import vec_mul_term
 from cmreg import groebner
 from cmreg.fields import GF32003, QQ, PrimeField
-from cmreg.freemod import GradedFreeModule, vec_is_zero, vec_mul_term
+from cmreg.freemod import GradedFreeModule, vec_is_zero
 from cmreg.groebner import (
     Elimination,
     GroebnerBasis,

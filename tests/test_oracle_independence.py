@@ -1,10 +1,11 @@
-"""The Betti oracle shares no code path with the Groebner engine.
+"""The Betti oracle and the Hilbert function share no code path with the
+Groebner engine.
 
-GradedPieces, _koszul_matrix and betti_oracle, and the private helpers of
-regularity.py that they reach, may not reference a name from
-cmreg.groebner, nor one from cmreg.resolution other than BettiTable, the
-table type the oracle returns.  present_over_Q, which betti_oracle shares
-with regularity, only appends the vectors z_j e_k to a presentation.
+GradedPieces, hilbert_function, _koszul_matrix and betti_oracle, and the
+private helpers of regularity.py that they reach, may not reference a name
+from cmreg.groebner, nor one from cmreg.resolution other than BettiTable,
+the table type the oracle returns.  present_over_Q, which they share with
+regularity, only appends the vectors z_j e_k to a presentation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import cmreg
 
 SOURCE = Path(cmreg.__file__).parent / "regularity.py"
-ORACLE = ("GradedPieces", "_koszul_matrix", "betti_oracle")
+ORACLE = ("GradedPieces", "hilbert_function", "_koszul_matrix", "betti_oracle")
 FORBIDDEN = {"groebner": set(), "resolution": {"BettiTable"}}
 
 
@@ -94,7 +95,7 @@ def test_oracle_references_no_groebner_or_resolution_code():
     text = SOURCE.read_text()
     assert not _violations(text), _violations(text)
     # the guard follows the oracle into its private helpers
-    assert {"GradedPieces", "_koszul_matrix", "betti_oracle", "_split"} <= {
+    assert {"GradedPieces", "hilbert_function", "_koszul_matrix", "betti_oracle", "_split"} <= {
         top.name for top in _reach(ast.parse(text), ORACLE)
     }
 
@@ -107,7 +108,10 @@ def test_guard_catches_a_borrowed_name():
         "import cmreg.resolution as res\n"
         "import cmreg.groebner\n"
     )
-    clean = "class GradedPieces: pass\ndef _koszul_matrix(): pass\n"
+    clean = (
+        "class GradedPieces: pass\ndef hilbert_function(): pass\n"
+        "def _koszul_matrix(): pass\n"
+    )
     oracle = "def betti_oracle():\n    return BettiTable({}), res.BettiTable({})\n"
     assert _violations(header + clean + oracle) == []
     for body in (

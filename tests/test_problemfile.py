@@ -12,9 +12,8 @@ import reference_parser
 from helpers import PROBLEM_VARIANTS, problem_file, random_signed_poly
 from cmreg.errors import HomogeneityError, ProblemSemanticError, ProblemSyntaxError
 from cmreg.fields import field_of_characteristic
-from cmreg.freemod import presentation_hilbert
 from cmreg.problemfile import parse_problem, pretty_print
-from cmreg.regularity import regularity
+from cmreg.regularity import hilbert_function, regularity
 from cmreg.rings import GradedPoly, PolyRing, QuotientRing, parse_poly
 
 EXAMPLE = """\
@@ -357,7 +356,7 @@ def _hilbert_by_characteristic(body, window):
     dims = {}
     for p in (0, 2, 3, 5, 7, 32003):
         M = parse_problem(f"ring d=3 char={p}\n" + body).module("M")
-        dims[p] = [presentation_hilbert(M, s) for s in window]
+        dims[p] = hilbert_function(M, window[0], window[-1])
     return dims
 
 

@@ -193,16 +193,11 @@ def test_poly_ring_answers_as_the_empty_quotient(seed):
     import random
 
     from helpers import random_presentation
+    from reference_pieces import piece_basis
 
-    from cmreg.freemod import (
-        GradedFreeModule,
-        GradedMap,
-        ModulePresentation,
-        piece_basis,
-        presentation_hilbert,
-    )
+    from cmreg.freemod import GradedFreeModule, GradedMap, ModulePresentation
     from cmreg.groebner import relation_vectors
-    from cmreg.regularity import regularity
+    from cmreg.regularity import hilbert_function, regularity
     from cmreg.resolution import resolve_over_A
 
     rng = random.Random(seed)
@@ -219,7 +214,7 @@ def test_poly_ring_answers_as_the_empty_quotient(seed):
             assert relation_vectors(M.cover) == relation_vectors(M0.cover) == []
             for s in range(6):
                 assert piece_basis(M.cover, s) == piece_basis(M0.cover, s)
-                assert presentation_hilbert(M, s) == presentation_hilbert(M0, s)
+            assert hilbert_function(M, 0, 5) == hilbert_function(M0, 0, 5)
             assert regularity(M) == regularity(M0)
             R, R0 = resolve_over_A(M, cap=4), resolve_over_A(M0, cap=4)
             assert R.twist_lists() == R0.twist_lists()
