@@ -93,5 +93,6 @@ from .trigraded import (
     component_twist_count,
     component_twists,
     compositions,
+    grid_bound_check,
     max_twist_bound_check,
 )

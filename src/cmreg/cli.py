@@ -48,7 +48,7 @@ from .trigraded import (
     TrigradedRingSpec,
     _integer,
     bound_constants,
-    max_twist_bound_check,
+    grid_bound_check,
 )
 
 
@@ -354,12 +354,7 @@ def cmd_trigraded_bound(args):
         raise ProblemSemanticError(f"bad trigraded data: {exc}")
     i_max = _setting(args, blob, "imax", 9)
     n_max = _setting(args, blob, "nmax", 9)
-    checks = all(
-        max_twist_bound_check(spec, data, l, i, n)
-        for l in sorted(data.levels)
-        for i in range(i_max + 1)
-        for n in range(n_max + 1)
-    )
+    checks = grid_bound_check(spec, data, i_max, n_max)
     payload = {
         "metadata": {"tool_version": __version__},
         "c": {str(l): cl for l, cl in sorted(cs.items())},

@@ -286,6 +286,29 @@ class GradedPoly:
         return " ".join(pieces)
 
 
+def _hit_within(supports, k):
+    """True when at most k variables meet every set in supports: branch on
+    the variables of the smallest set, which one of them must meet."""
+    if not supports:
+        return True
+    if k == 0:
+        return False
+    smallest = min(supports, key=len)
+    return any(
+        _hit_within([s for s in supports if v not in s], k - 1) for v in smallest
+    )
+
+
+def _monomial_quotient_dimension(monomials, nvars) -> int:
+    """Krull dimension of K[x_1..x_nvars]/(monomials): nvars minus the
+    least number of variables meeting every monomial's support, found by
+    iterative deepening; 0 when a monomial is 1."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monomials]
+    if not all(supports):
+        return 0
+    return nvars - next(k for k in range(nvars + 1) if _hit_within(supports, k))
+
+
 class QuotientRing:
     """A = Q/(z1..zc) for a homogeneous regular sequence z.
 
@@ -338,25 +361,12 @@ class QuotientRing:
     def std_monomials_of_degree(self, s: int):
         return [e for e in self.base.monomials_of_degree(s) if self.is_std_monomial(e)]
 
-    def _lt_ideal_dimension(self) -> int:
-        """Krull dimension of Q/(lt(z-GB)) via maximal independent variable
-        sets; exact for monomial ideals."""
-        gb = self._groebner_of_relations()
-        lts = [g[0].lm() for g in gb.elements]
-        d = self.base.nvars
-        for size in range(d, -1, -1):
-            for subset in combinations(range(d), size):
-                sset = set(subset)
-                if not any(
-                    all(i in sset for i, e in enumerate(lt) if e) for lt in lts
-                ):
-                    return size
-        return 0
-
     def _check_regular_sequence(self):
         # ht(z) = c iff dim Q/(z) = d - c; for c homogeneous generators in a
-        # polynomial ring this certifies the sequence is regular.
-        dim = self._lt_ideal_dimension()
+        # polynomial ring this certifies the sequence is regular.  Q/(z) has
+        # the dimension of Q/(lt(z-GB)), a monomial ideal.
+        lts = [g[0].lm() for g in self._groebner_of_relations().elements]
+        dim = _monomial_quotient_dimension(lts, self.base.nvars)
         expected = self.base.nvars - len(self.relations)
         if dim != expected:
             raise ValueError(

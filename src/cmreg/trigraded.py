@@ -14,6 +14,18 @@ top twist of a component has a closed form.  With the constants
 it is at most g1*i + h1*n + c_l; hence the component regularity of the
 resolved module is at most g1*i + h1*n + e.
 
+The checks of that line do not use the closed form.  With top(w, t) the
+largest w.u over the weak compositions u of t (`_top_weight_sums` takes
+the weights one at a time, in any order), the top twist at (i, n) is the
+max over generators of a + top(h, n - b2) + top(g, i - b1), so a
+generator's excess over the line separates:
+
+    (a - g1*b1 - h1*b2) + [top(h, t) - h1*t] + [top(g, s) - g1*s]
+
+with t = n - b2 and s = i - b1.  `max_twist_bound_check` tests one cell so;
+`grid_bound_check` tests a whole grid 0..imax x 0..nmax with one comparison
+per generator, taking each bracket's max over the t and s the grid reaches.
+
 This module consumes resolution DATA (generator multidegrees per level),
 not actual modules; connecting its lines to measured regularity tables is
 the harness's job.
@@ -101,13 +113,16 @@ class TrigradedFreeData:
         return self.levels.get(l, [])
 
 
+def _level_constant(spec, gens):
+    """c_l = max(a - g1*b1 - h1*b2) over the generators; 0 when there are none."""
+    return max((a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in gens), default=0)
+
+
 def bound_constants(spec: TrigradedRingSpec, data: TrigradedFreeData):
     """({l: c_l} over non-empty levels, e = max(c_l - l))."""
     if not data.level(0):
         raise ValueError("data must have at least one generator at level 0")
-    cs = {}
-    for l, gens in sorted(data.levels.items()):
-        cs[l] = max(a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in gens)
+    cs = {l: _level_constant(spec, gens) for l, gens in sorted(data.levels.items())}
     e = max(cl - l for l, cl in cs.items())
     return cs, e
 
@@ -127,6 +142,26 @@ def _weight_sums(weights, total):
         sum(w * x for w, x in zip(weights, u))
         for u in weak_compositions(total, len(weights))
     )
+
+
+@lru_cache(maxsize=1024)
+def _top_weight_sums(weights, tmax):
+    """(top(weights, t) for t in 0..tmax): the largest w.u over the weak
+    compositions u of t into len(weights) parts, NEG_INF when there is none.
+    Each composition of t is one of t - x into the parts before the last,
+    followed by x, so the weights are taken one at a time, in any order,
+    without listing the compositions."""
+    tops = (0,) + (NEG_INF,) * tmax
+    for w in weights:
+        tops = tuple(
+            max(tops[t - x] + w * x for x in range(t + 1)) for t in range(tmax + 1)
+        )
+    return tops
+
+
+def _top_weight_sum(weights, total):
+    """top(weights, total); NEG_INF for a negative total."""
+    return _top_weight_sums(weights, total)[total] if total >= 0 else NEG_INF
 
 
 def component_twists(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
@@ -167,12 +202,43 @@ def _top_twist(spec, gens, i, n):
 
 
 def max_twist_bound_check(spec, data, l, i, n) -> bool:
-    """max component twist <= g1*i + h1*n + c_l, which the closed form of
-    the top twist makes true for all valid data; vacuously true when the
-    component (or the level, whose c_l then reads 0) is empty."""
+    """max component twist <= g1*i + h1*n + c_l, with the twist read off
+    top(h, n - b2) and top(g, i - b1) (module docstring); vacuously true
+    when the component (or the level, whose c_l then reads 0) is empty."""
     gens = data.level(l)
-    cl = max((a - spec.g1 * b1 - spec.h1 * b2 for b1, b2, a in gens), default=0)
-    return _top_twist(spec, gens, i, n) <= spec.g1 * i + spec.h1 * n + cl
+    top = max(
+        (a + _top_weight_sum(spec.h, n - b2) + _top_weight_sum(spec.g, i - b1)
+         for b1, b2, a in gens),
+        default=NEG_INF,
+    )
+    return top <= spec.g1 * i + spec.h1 * n + _level_constant(spec, gens)
+
+
+def _window_excess(weights, w1, lo, hi):
+    """max of top(weights, t) - w1*t over lo <= t <= hi; NEG_INF if none."""
+    if hi < lo:
+        return NEG_INF
+    tops = _top_weight_sums(weights, hi)
+    return max(tops[t] - w1 * t for t in range(lo, hi + 1))
+
+
+def grid_bound_check(spec, data, imax, nmax) -> bool:
+    """`max_twist_bound_check` at every level and every 0 <= i <= imax,
+    0 <= n <= nmax, with one comparison per generator: its excess over the
+    line separates (module docstring), and t = n - b2, s = i - b1 each
+    range over a window, empty for a generator outside the grid."""
+    g1, h1 = spec.g1, spec.h1
+    for gens in data.levels.values():
+        cl = _level_constant(spec, gens)
+        for b1, b2, a in gens:
+            excess = (
+                a - g1 * b1 - h1 * b2
+                + _window_excess(spec.h, h1, max(0, -b2), nmax - b2)
+                + _window_excess(spec.g, g1, max(0, -b1), imax - b1)
+            )
+            if excess > cl:
+                return False
+    return True
 
 
 def free_component_regularity(spec, data, i, n):

@@ -21,6 +21,7 @@ from cmreg.errors import (
     DegreeCapExceeded,
     InternalConsistencyError,
 )
+from cmreg.trigraded import TrigradedRingSpec
 
 HYPERSURFACE = """\
 ring d=1 char=32003
@@ -341,6 +342,20 @@ def test_trigraded_bound_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_trigraded_bound_checks_the_line_against_the_twists(tmp_path, capsys, monkeypatch):
+    # a line whose i-slope is the smaller g-weight: the enumerated twists
+    # a + 3*v rise above 2*i + 3*n + c_0 from i = 1 on
+    blob = {"spec": {"d": 1, "b": 1, "c": 2, "h": [3], "g": [2, 3]}, "data": {"0": [[0, 0, 5]]}}
+    data = _write(tmp_path, "tri.json", json.dumps(blob))
+    monkeypatch.setattr(TrigradedRingSpec, "g1", property(lambda self: self.g[-1]))
+    assert main(["trigraded-bound", data]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checks_passed"] is False
+    assert captured.err.splitlines() == [
+        "cmreg: bound violation: max twist exceeded the bound line on the grid"
+    ]
+
+
 def test_unwritable_output_exit_1(tmp_path):
     missing = tmp_path / "missing"
     prob = _write(tmp_path, "red.prob", REDUCED)
@@ -389,7 +404,7 @@ ideal I: x1
 """
 
 
-def test_bad_input_exits_1_with_one_line(tmp_path):
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys):
     prob = _write(tmp_path, "red.prob", REDUCED)
     hyp = _write(tmp_path, "hyp.prob", HYPERSURFACE)
     noq = _write(tmp_path, "noq.prob", NO_QUOTIENT)
@@ -443,34 +458,47 @@ def test_bad_input_exits_1_with_one_line(tmp_path):
         ))
     ]
     grid = ["--module", "M", "--coeff", "N", "--ideal", "I"]
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    for argv in (
+    # one row of each subcommand, and the inputs nested deepest or sized largest
+    shell = (
         ["ext", prob, "--module", "M", "--coeff", "N", "--index", "-1"],
         ["tor", prob, "--module", "M", "--coeff", "N", "--index", "-1"],
         ["sweep", noq, *grid],
         ["verify", noq, *grid],
-        ["sweep", prob, *grid, "--imax", "-1"],
-        ["verify", prob, *grid, "--nmax", "-1"],
         ["rho", prob, "--module", "N", "--ideal", "I", "--nmax", "-1"],
         ["resolve", prob, "--module", "M", "--cap", "-1"],
+        ["reg", deep, "--module", "M"],
+        ["reg", huge_d, "--module", "M"],
+        ["trigraded-bound", tri_deep],
+    )
+    for argv in (
+        *shell,
+        ["sweep", prob, *grid, "--imax", "-1"],
+        ["verify", prob, *grid, "--nmax", "-1"],
         ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--hom-cap", "1"],
         ["verify", capped, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["sweep", negative, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["trigraded-bound", tri],
         *(["trigraded-bound", bad] for bad in tri_bad),
-        ["reg", deep, "--module", "M"],
         ["reg", zero32003, "--module", "M"],
         ["rho", zero7, "--module", "N", "--ideal", "I"],
         ["reg", long_int, "--module", "M"],
-        ["reg", huge_d, "--module", "M"],
         ["reg", str(utf16), "--module", "M"],
         ["trigraded-bound", str(tri_utf16)],
-        ["trigraded-bound", tri_deep],
         ["trigraded-bound", tri, "--nmax", "-1"],
         ["reg", hyp, "--module", "M", "--degree-cap", "-1"],
         ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--degree-cap", "-3"],
     ):
+        # in process: an exception that escapes main fails the test here
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert rc == 1, (argv, err)
+        assert [l for l in lines if l.startswith("cmreg:")] == lines[-1:], (argv, lines)
+        assert out == ""
+    # as the shell sees them: exit 1 and no traceback from a fresh interpreter
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in shell:
         proc = subprocess.run(
             [sys.executable, "-m", "cmreg.cli", *argv], env=env,
             capture_output=True, text=True, timeout=120,

@@ -170,6 +170,16 @@ def test_syntax_errors_point_at_the_offending_token(line, token):
     assert str(err.value).startswith(f"2:{column}: ")
 
 
+def test_twenty_variable_quotient_parses():
+    # ten squares in twenty variables; the regular-sequence check must not
+    # try the C(20, k) variable subsets one by one
+    squares = "; ".join(f"x{k}^2" for k in range(1, 11))
+    text = "ring d=20 char=32003\nquotient: " + squares + "\n"
+    assert parse_problem(text).ring.f_degrees == (2,) * 10
+    with pytest.raises(ProblemSemanticError):
+        parse_problem(text.replace(squares, squares + "; x1*x2"))
+
+
 def test_semantic_errors():
     # quotient by a non-regular sequence
     with pytest.raises(ProblemSemanticError):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from helpers import random_signed_poly
 from cmreg.errors import HomogeneityError
 from cmreg.fields import GF32003, QQ, PrimeField, _is_prime
-from cmreg.rings import PolyRing, QuotientRing, parse_poly
+from cmreg.rings import (
+    PolyRing,
+    QuotientRing,
+    _monomial_quotient_dimension,
+    parse_poly,
+)
 
 
 def test_field_arithmetic():
@@ -166,6 +171,33 @@ def test_regular_sequence_check():
         QuotientRing(Q, [Q.poly("x1"), Q.poly("x1^2")])
     with pytest.raises(ValueError):
         QuotientRing(Q, [Q.poly("0")])
+
+
+def _subset_dimension(monomials, nvars):
+    """The largest set of variables containing no monomial's support, by
+    trying every subset from the largest down."""
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            if not any(
+                all(i in subset for i, e in enumerate(m) if e) for m in monomials
+            ):
+                return size
+    return 0
+
+
+def test_monomial_quotient_dimension_matches_the_subset_search(seed):
+    rng = random.Random(seed + 31)
+    for _ in range(400):
+        d = rng.randint(0, 6)
+        monomials = [
+            tuple(rng.choice((0, 0, 1, 2)) for _ in range(d))
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert _monomial_quotient_dimension(monomials, d) == _subset_dimension(monomials, d)
+    # a unit leaves nothing, in any number of variables
+    assert _monomial_quotient_dimension([(0, 0, 0), (1, 0, 0)], 3) == 0
+    assert _monomial_quotient_dimension([()], 0) == 0
+    assert _monomial_quotient_dimension([], 4) == 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import ast
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmreg.trigraded as trigraded
 from cmreg.freemod import NEG_INF
 from cmreg.trigraded import (
     TrigradedFreeData,
     TrigradedRingSpec,
     _top_twist,
+    _top_weight_sums,
     _weight_sums,
     bound_constants,
     component_bound,
@@ -19,6 +23,7 @@ from cmreg.trigraded import (
     component_twists,
     compositions,
     free_component_regularity,
+    grid_bound_check,
     max_twist_bound_check,
 )
 
@@ -63,8 +68,8 @@ def _reference_twists(spec, data, l, i, n):
     return out
 
 
-def test_component_twists_match_reference_enumeration(seed):
-    rng = random.Random(seed + 23)
+def _reference_specs(rng):
+    """Seeded specs, the b = 0 and c = 0 corners and negative weights."""
     specs = [_random_spec(rng) for _ in range(20)]
     specs.append(TrigradedRingSpec(1, 0, 2, [], [3, 1]))  # b = 0: only n = b2 survives
     specs.append(TrigradedRingSpec(1, 2, 0, [2, 2], []))  # c = 0: only i = b1 survives
@@ -77,7 +82,12 @@ def test_component_twists_match_reference_enumeration(seed):
         h = [rng.randint(-3, 4) for _ in range(b)]
         g = [rng.randint(-3, 4) for _ in range(c)]
         specs.append(TrigradedRingSpec(rng.randint(0, 2), b, c, h, g))
-    for spec in specs:
+    return specs
+
+
+def test_component_twists_match_reference_enumeration(seed):
+    rng = random.Random(seed + 23)
+    for spec in _reference_specs(rng):
         data = _random_data(rng, spec)
         for l in data.levels:
             for i in range(10):
@@ -94,6 +104,11 @@ def test_weight_sums_shape(weights, m):
     sums = _weight_sums(tuple(weights), m)
     k = len(weights)
     assert type(sums) is tuple
+    # the checks' top weight sums are the enumeration's maxima, for weights
+    # in any order
+    assert _top_weight_sums(tuple(weights), m) == tuple(
+        max(_weight_sums(tuple(weights), t), default=NEG_INF) for t in range(m + 1)
+    )
     if k == 0:
         assert sums == ((0,) if m == 0 else ())
         return
@@ -227,6 +242,98 @@ def test_max_twist_bound_on_random_instances(seed):
             for i in range(5):
                 for n in range(5):
                     assert max_twist_bound_check(spec, data, l, i, n)
+
+
+def _cell_definition(spec, data, imax, nmax):
+    """Every cell's enumerated twists against the line g1*i + h1*n + c_l."""
+    cs, _ = bound_constants(spec, data)
+    return all(
+        max(component_twists(spec, data, l, i, n), default=NEG_INF)
+        <= spec.g1 * i + spec.h1 * n + cs[l]
+        for l in data.levels
+        for i in range(imax + 1)
+        for n in range(nmax + 1)
+    )
+
+
+def _checks_agree_with_definition(spec, data, imax, nmax):
+    expected = _cell_definition(spec, data, imax, nmax)
+    assert grid_bound_check(spec, data, imax, nmax) == expected
+    assert all(
+        max_twist_bound_check(spec, data, l, i, n)
+        for l in data.levels
+        for i in range(imax + 1)
+        for n in range(nmax + 1)
+    ) == expected
+    return expected
+
+
+def test_grid_check_matches_the_cell_definition(seed, monkeypatch):
+    rng = random.Random(seed + 29)
+    cases = []
+    for spec in _reference_specs(rng):
+        data = _random_data(rng, spec)
+        # the generators reach b1, b2 = 2, so grids below that are vacuous
+        # for them, and the 0 x 0 grid holds level 0's generator alone
+        for imax, nmax in ((0, 0), (1, 0), (0, 1), (1, 2), (3, 3), (6, 4)):
+            cases.append((spec, data, imax, nmax))
+            assert _checks_agree_with_definition(spec, data, imax, nmax)
+    # level 1 lies outside the 4 x 4 grid and enters the 5 x 5 one; level 2
+    # starts below the grid, so s = i - b1 and t = n - b2 start above 0
+    spec = TrigradedRingSpec(1, 1, 2, [3], [2, 1])
+    edges = TrigradedFreeData(
+        {0: [(0, 0, 0)], 1: [(5, 1, 99), (1, 5, 9)], 2: [(-2, 1, 4), (0, -3, 1)]}, spec
+    )
+    for grid in ((4, 4), (5, 5)):
+        cases.append((spec, edges, *grid))
+        assert _checks_agree_with_definition(spec, edges, *grid)
+    # s = i - b1 >= 2 here: with the i-slope set above g1 below, s = 0 and 1
+    # would read room the grid does not hold
+    spec = TrigradedRingSpec(1, 2, 2, [3, 1], [2, 1])
+    below = TrigradedFreeData({0: [(0, 2, 0)], 1: [(-2, 1, 4)]}, spec)
+    cases.append((spec, below, 4, 2))
+    assert _checks_agree_with_definition(spec, below, 4, 2)
+    # with the line's n-slope read off the smallest weight, both checks must
+    # see the enumerated twists rise above it; an i-slope too steep to be
+    # reached leaves room that only the cells the grid holds may use
+    monkeypatch.setattr(TrigradedRingSpec, "h1", property(lambda self: min(self.h, default=0)))
+    for g1 in (lambda self: min(self.g, default=0), lambda self: max(self.g, default=0) + 1):
+        monkeypatch.setattr(TrigradedRingSpec, "g1", property(g1))
+        verdicts = [_checks_agree_with_definition(*case) for case in cases]
+        assert not all(verdicts) and any(verdicts)
+
+
+def test_bound_checks_do_not_read_the_closed_form():
+    """Neither check reaches `_top_twist`, the closed form they test."""
+    tree = ast.parse(Path(trigraded.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reach(root):
+        todo, seen = [root], set()
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(
+                    node.id for node in ast.walk(defs[name])
+                    if isinstance(node, ast.Name) and node.id in defs
+                )
+        return seen
+
+    # the walk finds the closed form where it is read
+    assert "_top_twist" in reach("free_component_regularity")
+    for check in ("max_twist_bound_check", "grid_bound_check"):
+        assert "_top_weight_sums" in reach(check)
+        assert "_top_twist" not in reach(check)
+
+
+def test_grid_check_with_many_weights():
+    # 25 weights a side: listing the compositions of 40 into 25 parts
+    # (C(64, 24) of them) is out of reach, taking the parts one at a time is not
+    spec = TrigradedRingSpec(0, 25, 25, range(25), range(-12, 13))
+    data = TrigradedFreeData({0: [(0, 0, 1)], 3: [(2, 1, 30), (1, 4, 7)]}, spec)
+    assert grid_bound_check(spec, data, 40, 40)
+    assert max_twist_bound_check(spec, data, 3, 40, 40)
 
 
 def test_component_bound_dominates_level_zero(seed):
