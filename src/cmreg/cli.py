@@ -3,8 +3,9 @@
 Subcommands: resolve, reg, ext, tor, rho, sweep, verify, trigraded-bound,
 each accepting only the options it reads.  --imax, --nmax and --degree-cap
 take the flag if given, else the problem file's params value or the
-trigraded data file's key of that name, else the default.  A run builds
-only its subcommand's parser, and every parser for top-level help and errors.
+trigraded data file's key of that name, else the default; rho --nmax and
+resolve --cap are flags only.  A run builds only its subcommand's parser,
+and every parser for top-level help and errors.
 Exit codes: 0 success, 1 usage, parse or semantic error or an output path
 that cannot be written, 2 degree-cap breach, 3 bound violation, 4 internal
 consistency failure.

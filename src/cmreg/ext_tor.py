@@ -27,15 +27,8 @@ from .freemod import (
     ModulePresentation,
     basis_vector,
     free_presentation,
-    map_from_columns,
-    vec_degree,
 )
-from .groebner import (
-    DEFAULT_DEGREE_CAP,
-    Elimination,
-    kernel,
-    minimal_generators,
-)
+from .groebner import DEFAULT_DEGREE_CAP, Elimination, kernel, minimal_generators
 from .resolution import FreeResolution, resolve_over_A
 
 
@@ -62,17 +55,12 @@ def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
     minimally generate {x : gens*x in B}, the kernel of one Elimination
     modulo B.  Both come from graded Nakayama, so the presentation has the
     Betti numbers beta_0 and beta_1 of Z/B."""
-    zmin = minimal_generators(cycles, ambient, modulo=boundaries)
-    if not zmin:
+    zmap = minimal_generators(cycles, ambient, modulo=boundaries)
+    if not zmap.source.rank:
         return SubquotientPresentation(ambient, [], free_presentation(ambient.ring, ()))
-    twists = tuple(vec_degree(ambient, v) for v in zmin)
-    zmap = map_from_columns(twists, ambient, zmin)
     elim = Elimination(zmap, degree_cap, modulo=boundaries)
-    cover = zmap.source
-    rel_cols = minimal_generators(elim.kernel(), cover)
-    rel_twists = tuple(vec_degree(cover, c) for c in rel_cols)
-    pres = ModulePresentation(map_from_columns(rel_twists, cover, rel_cols))
-    return SubquotientPresentation(ambient, zmin, pres, elim)
+    pres = ModulePresentation(minimal_generators(elim.kernel(), zmap.source))
+    return SubquotientPresentation(ambient, zmap.columns(), pres, elim)
 
 
 # -- hom and tensor complexes --------------------------------------------------

@@ -19,8 +19,9 @@ x_d down: the greatest term is the smallest int, and a product or quotient
 is one add or subtract.  Exponents stay below 2^15, so the top bit of each
 field is a guard: b divides a iff ((a + G) - b) & G == G for the guard bits
 G.  Mixed twisted degrees raise HomogeneityError and entry degrees of 2^15
-or more DegreeCapExceeded, instead of mis-ordering.  Public signatures and
-GroebnerBasis fields keep exponent tuples.
+or more DegreeCapExceeded, instead of mis-ordering.  Public signatures keep
+exponent tuples; a GroebnerBasis holds its elements packed, and its
+elements and leading_terms views unpack them.
 
 Every basis comes from one degree-ordered Buchberger loop, whose heap holds
 the inputs as well as the S-pairs.  Its bases are minimal and monic but not
@@ -47,6 +48,7 @@ from .freemod import (
     GradedFreeModule,
     GradedMap,
     basis_vector,
+    map_from_columns,
     scaled_basis,
     vec_degree,
     vec_is_zero,
@@ -132,8 +134,12 @@ class ModuleOrder:
 
 
 class GroebnerBasis:
-    """Minimal monic Groebner basis of a submodule of a free Q-module;
-    elements are plain vectors sorted by ascending leading term.
+    """Minimal monic Groebner basis of a submodule of a free Q-module, held
+    as the divisor table buchberger built: table maps a position to
+    [(packed leading monomial, coefficient, packed element)] in the order
+    the elements entered (remainders do not depend on which divisor a
+    division picks).  elements and leading_terms unpack it, sorted by
+    ascending leading term.
 
     No leading term divides another, but tails are not reduced, so the
     elements are not unique: their leading terms, normal forms and span are.
@@ -141,29 +147,38 @@ class GroebnerBasis:
     order they entered; every other input reduced to zero.
     """
 
-    __slots__ = ("ambient", "order", "elements", "leading_terms", "kept", "_divisors")
+    __slots__ = ("ambient", "order", "table", "kept")
 
-    def __init__(self, ambient, order, elements, leading_terms, kept=()):
+    def __init__(self, ambient, order, table, kept=()):
         self.ambient = ambient
         self.order = order
-        self.elements = elements
-        self.leading_terms = leading_terms
+        self.table = table
         self.kept = kept
-        self._divisors = None
 
     def __len__(self):
-        return len(self.elements)
+        return sum(map(len, self.table.values()))
 
-    def divisors(self):
-        """_reduce's divisor table, built on first use: position -> [(packed
-        leading monomial, coefficient, packed element)] in list order."""
-        if self._divisors is None:
-            pack = self.order.packing.pack
-            self._divisors = {}
-            for g, (k, e, c) in zip(self.elements, self.leading_terms):
-                elem = [(m, t) for m, t in enumerate(_packed(g, pack)) if t]
-                self._divisors.setdefault(k, []).append((pack(e), c, elem))
-        return self._divisors
+    def _sorted(self, positions):
+        """(position, exponents, coefficient, packed element) of the
+        elements led at positions, by ascending leading term."""
+        unpack, key = self.order.packing.unpack, self.order.term_key
+        rows = [(k, unpack(e), c, g) for k in positions for e, c, g in self.table.get(k, ())]
+        return sorted(rows, key=lambda r: key(r[0], r[1]))
+
+    def _vectors(self, positions):
+        """The elements led at positions as vectors, by ascending leading term."""
+        ambient, unpack = self.ambient, self.order.packing.unpack
+        return [_unpacked(g, ambient, sum(e) + ambient.twists[k], unpack)
+                for k, e, _, g in self._sorted(positions)]
+
+    @property
+    def elements(self):
+        return self._vectors(self.table)
+
+    @property
+    def leading_terms(self):
+        """(position, exponents, coefficient) of each element."""
+        return [r[:3] for r in self._sorted(self.table)]
 
 
 def _packed(vec, pack):
@@ -200,10 +215,12 @@ def _sub_multiple(acc, g, q, c, field):
 
 def _reduce(acc, divisors, order):
     """Full normal form (remainder) of the packed accumulator acc, which is
-    consumed, against a divisor table as GroebnerBasis.divisors returns it.
+    consumed, against a divisor table (GroebnerBasis.table): position ->
+    [(packed leading monomial, leading coefficient, packed element)].
     Positions are cleared most senior first, since no divisor of a term at
     position k touches a more senior position.  Divisor ties go to the
-    earliest element in list order.  Returns (remainder, lead): one dict per
+    earliest entry; the remainder is the same for any choice when the table
+    holds a Groebner basis.  Returns (remainder, lead): one dict per
     position, and the remainder's greatest term (position, monomial,
     coefficient) or None when it is zero."""
     field = order.ambient.base.field
@@ -230,7 +247,7 @@ def normal_form(vec, gb: GroebnerBasis):
     degree = vec_degree(gb.ambient, vec)
     _check_packable(gb.ambient, degree)
     packing = gb.order.packing
-    rem, _ = _reduce(_packed(vec, packing.pack), gb.divisors(), gb.order)
+    rem, _ = _reduce(_packed(vec, packing.pack), gb.table, gb.order)
     return _unpacked(enumerate(rem), gb.ambient, degree, packing.unpack)
 
 
@@ -265,9 +282,9 @@ def buchberger(
         if not vec_is_zero(g)
     ]
     heapq.heapify(heap)
-    # packed elements, their (position, leading monomial) and degree, and
-    # their divisor table in the order they entered
-    elems, lts, degrees, kept, divisors = [], [], [], [], {}
+    # packed elements, their (position, leading monomial), and their
+    # divisor table in the order they entered
+    elems, lts, kept, table = [], [], [], {}
     while heap:
         d, is_input, i, j = heapq.heappop(heap)
         _check_packable(ambient, d)
@@ -280,7 +297,7 @@ def buchberger(
             acc = [{} for _ in range(ambient.rank)]
             _sub_multiple(acc, elems[i], lcm - ei, field.neg(field.one), field)
             _sub_multiple(acc, elems[j], lcm - ej, field.one, field)
-        rem, lead = _reduce(acc, divisors, order)
+        rem, lead = _reduce(acc, table, order)
         if lead is None:
             continue
         if is_input:
@@ -304,19 +321,8 @@ def buchberger(
              for m, t in enumerate(rem) if t]
         )
         lts.append((k, e))
-        degrees.append(d)
-        divisors.setdefault(k, []).append((e, field.one, elems[-1]))
-
-    unpack = packing.unpack
-    leading = [(k, unpack(e), field.one) for k, e in lts]
-    final = sorted(range(len(elems)), key=lambda i: order.term_key(*leading[i][:2]))
-    return GroebnerBasis(
-        ambient,
-        order,
-        [_unpacked(elems[i], ambient, degrees[i], unpack) for i in final],
-        [leading[i] for i in final],
-        kept,
-    )
+        table.setdefault(k, []).append((e, field.one, elems[-1]))
+    return GroebnerBasis(ambient, order, table, kept)
 
 
 # -- submodules over Q or A ---------------------------------------------------
@@ -358,18 +364,20 @@ def minimal_generators(gens, F: GradedFreeModule, modulo=()):
     positive-degree multiples of all generators and the same-degree
     generators already kept.  Relation multiples and modulo vectors go
     first, so they are never candidates and a generator in (z)F reduces to
-    zero.  The kept generators are returned in canonical form mod (z),
-    sorted by descending degree (stable within a degree).
+    zero.  Returns the map onto F whose columns are the kept generators in
+    canonical form mod (z), sorted by descending degree (stable within a
+    degree); it has no columns when none is kept.  Only the basis's kept
+    record is read, so no element is unpacked.
     """
     if not gens:
-        return []
+        return map_from_columns((), F, [])
     fixed = relation_vectors(F) + list(modulo)
     ambient = GradedFreeModule(F.base, F.twists)
     gb = buchberger(fixed + list(gens), ambient, cap=None)
     n0 = len(fixed)
-    kept = [vec_reduce_entries(F, gens[n - n0]) for n in gb.kept if n >= n0]
-    kept.sort(key=lambda g: -vec_degree(F, g))
-    return kept
+    cols = [vec_reduce_entries(F, gens[n - n0]) for n in gb.kept if n >= n0]
+    cols.sort(key=lambda g: -vec_degree(F, g))
+    return map_from_columns(tuple(vec_degree(F, g) for g in cols), F, cols)
 
 
 # -- kernels and preimages via elimination ------------------------------------
@@ -406,10 +414,10 @@ class Elimination:
 
     def kernel(self):
         """Generators of {x : phi(x) in S}; see kernel().  The basis elements
-        led in the source block are those with zero target part."""
+        led in the source block are those with zero target part, and only
+        they are unpacked."""
         g, basis = self.g_rank, self.basis
-        lead = [k for k, _, _ in basis.leading_terms]
-        return [v[g:] for v, k in zip(basis.elements, lead) if k >= g]
+        return [v[g:] for v in basis._vectors(range(g, basis.ambient.rank))]
 
     def preimage(self, b):
         """Some x with phi(x) = b mod S; see preimage()."""

@@ -18,8 +18,8 @@ with an empty one) the ring is Q itself, which sweep and verify reject.
 Entries are stored in canonical form in A, so pretty_print o parse_problem
 is the identity on files it emits.  The params keys are imax, nmax (the
 sweep grid) and degree_cap, integers >= 0, and candidates, names of extra
-ideals for rho_upper.  A sweep's homological cap is 2*imax + 2, not a
-parameter.
+ideals for rho_upper, each given at most once.  A sweep's homological cap
+is 2*imax + 2, not a parameter.
 """
 
 from __future__ import annotations
@@ -190,6 +190,8 @@ def parse_problem(text: str) -> ProblemFile:
                         f"unknown parameter {key!r} (known: {', '.join(PARAM_KEYS)})",
                         lineno,
                     )
+                if key in params:
+                    raise ProblemSemanticError(f"duplicate parameter {key!r}", lineno)
                 ts.expect("=")
                 if key == "candidates":
                     params[key] = tuple(_separated(ts, ts.name, ","))

@@ -32,8 +32,7 @@ class IdealData:
     def __init__(self, ring, generators):
         self.ring = ring
         F = GradedFreeModule(ring, (0,))
-        mins = minimal_generators([(g,) for g in generators], F)
-        self.generators = tuple(v[0] for v in mins)
+        self.generators = minimal_generators([(g,) for g in generators], F).matrix[0]
         self.degrees = tuple(g.degree for g in self.generators)
         # A is graded with A_0 = K and (z) has no units, so 1 lies in I
         # iff I_0 != 0 iff some minimal generator is a nonzero constant

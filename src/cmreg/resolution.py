@@ -11,14 +11,7 @@ needed only to repair presentations that arrive non-minimal.
 from __future__ import annotations
 
 from .errors import InternalConsistencyError
-from .freemod import (
-    NEG_INF,
-    GradedFreeModule,
-    GradedMap,
-    ModulePresentation,
-    map_from_columns,
-    vec_degree,
-)
+from .freemod import NEG_INF, GradedFreeModule, GradedMap, ModulePresentation
 from .groebner import DEFAULT_DEGREE_CAP, kernel, minimal_generators
 from .rings import QuotientRing
 
@@ -211,10 +204,8 @@ def minimal_presentation(M: ModulePresentation) -> ModulePresentation:
     """
     F1 = M.relations.source
     pruned = minimize(FreeResolution(M.ring, [M.cover, F1], [M.relations]))
-    F = pruned.modules[0]
-    cols = minimal_generators(pruned.maps[0].columns(), F)
     return ModulePresentation(
-        map_from_columns(tuple(vec_degree(F, c) for c in cols), F, cols)
+        minimal_generators(pruned.maps[0].columns(), pruned.modules[0])
     )
 
 
@@ -235,9 +226,7 @@ def _resolve(M: ModulePresentation, cap, minimal, degree_cap) -> FreeResolution:
         modules.append(d.source)
         maps.append(d)
         if l < cap:
-            K = minimal_generators(kernel(d, cap=degree_cap), d.source)
-            twists = tuple(vec_degree(d.source, v) for v in K)
-            d = map_from_columns(twists, d.source, K)
+            d = minimal_generators(kernel(d, cap=degree_cap), d.source)
     return FreeResolution(M.ring, modules, maps, minimal)
 
 

@@ -356,7 +356,7 @@ class QuotientRing:
         if not self.relations:
             return True
         gb = self._groebner_of_relations()
-        return not any(monomial_divides(g[0].lm(), exps) for g in gb.elements)
+        return not any(monomial_divides(e, exps) for _, e, _ in gb.leading_terms)
 
     def std_monomials_of_degree(self, s: int):
         return [e for e in self.base.monomials_of_degree(s) if self.is_std_monomial(e)]
@@ -365,7 +365,7 @@ class QuotientRing:
         # ht(z) = c iff dim Q/(z) = d - c; for c homogeneous generators in a
         # polynomial ring this certifies the sequence is regular.  Q/(z) has
         # the dimension of Q/(lt(z-GB)), a monomial ideal.
-        lts = [g[0].lm() for g in self._groebner_of_relations().elements]
+        lts = [e for _, e, _ in self._groebner_of_relations().leading_terms]
         dim = _monomial_quotient_dimension(lts, self.base.nvars)
         expected = self.base.nvars - len(self.relations)
         if dim != expected:

@@ -22,9 +22,10 @@ generator's excess over the line separates:
 
     (a - g1*b1 - h1*b2) + [top(h, t) - h1*t] + [top(g, s) - g1*s]
 
-with t = n - b2 and s = i - b1.  `max_twist_bound_check` tests one cell so;
-`grid_bound_check` tests a whole grid 0..imax x 0..nmax with one comparison
-per generator, taking each bracket's max over the t and s the grid reaches.
+with t = n - b2 and s = i - b1.  `_line_holds` tests a window of cells with
+one comparison per generator, taking each bracket's max over the t and s
+the window reaches: `max_twist_bound_check` on one cell, `grid_bound_check`
+on the grid 0..imax x 0..nmax.
 
 This module consumes resolution DATA (generator multidegrees per level),
 not actual modules; connecting its lines to measured regularity tables is
@@ -159,11 +160,6 @@ def _top_weight_sums(weights, tmax):
     return tops
 
 
-def _top_weight_sum(weights, total):
-    """top(weights, total); NEG_INF for a negative total."""
-    return _top_weight_sums(weights, total)[total] if total >= 0 else NEG_INF
-
-
 def component_twists(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):
     """Multiset (sorted list) of Q-twists in the (i, n, *) component of F_l."""
     out = []
@@ -201,19 +197,7 @@ def _top_twist(spec, gens, i, n):
     )
 
 
-def max_twist_bound_check(spec, data, l, i, n) -> bool:
-    """max component twist <= g1*i + h1*n + c_l, with the twist read off
-    top(h, n - b2) and top(g, i - b1) (module docstring); vacuously true
-    when the component (or the level, whose c_l then reads 0) is empty."""
-    gens = data.level(l)
-    top = max(
-        (a + _top_weight_sum(spec.h, n - b2) + _top_weight_sum(spec.g, i - b1)
-         for b1, b2, a in gens),
-        default=NEG_INF,
-    )
-    return top <= spec.g1 * i + spec.h1 * n + _level_constant(spec, gens)
-
-
+@lru_cache(maxsize=4096)
 def _window_excess(weights, w1, lo, hi):
     """max of top(weights, t) - w1*t over lo <= t <= hi; NEG_INF if none."""
     if hi < lo:
@@ -222,23 +206,35 @@ def _window_excess(weights, w1, lo, hi):
     return max(tops[t] - w1 * t for t in range(lo, hi + 1))
 
 
+def _line_holds(spec, gens, i0, i1, n0, n1) -> bool:
+    """Whether the free module on gens stays at or under g1*i + h1*n + c_l
+    in every cell i0 <= i <= i1, n0 <= n <= n1, with one comparison per
+    generator: its excess over the line separates (module docstring), and
+    t = n - b2, s = i - b1 each range over a window, empty for a generator
+    outside the cells."""
+    g1, h1, cl = spec.g1, spec.h1, _level_constant(spec, gens)
+    return all(
+        a - g1 * b1 - h1 * b2
+        + _window_excess(spec.h, h1, max(0, n0 - b2), n1 - b2)
+        + _window_excess(spec.g, g1, max(0, i0 - b1), i1 - b1)
+        <= cl
+        for b1, b2, a in gens
+    )
+
+
+def max_twist_bound_check(spec, data, l, i, n) -> bool:
+    """max component twist <= g1*i + h1*n + c_l at the cell (i, n), the
+    1x1 window of `_line_holds`; vacuously true when the component (or the
+    level, whose c_l then reads 0) is empty."""
+    return _line_holds(spec, data.level(l), i, i, n, n)
+
+
 def grid_bound_check(spec, data, imax, nmax) -> bool:
     """`max_twist_bound_check` at every level and every 0 <= i <= imax,
-    0 <= n <= nmax, with one comparison per generator: its excess over the
-    line separates (module docstring), and t = n - b2, s = i - b1 each
-    range over a window, empty for a generator outside the grid."""
-    g1, h1 = spec.g1, spec.h1
-    for gens in data.levels.values():
-        cl = _level_constant(spec, gens)
-        for b1, b2, a in gens:
-            excess = (
-                a - g1 * b1 - h1 * b2
-                + _window_excess(spec.h, h1, max(0, -b2), nmax - b2)
-                + _window_excess(spec.g, g1, max(0, -b1), imax - b1)
-            )
-            if excess > cl:
-                return False
-    return True
+    0 <= n <= nmax: `_line_holds` on the whole grid, level by level."""
+    return all(
+        _line_holds(spec, gens, 0, imax, 0, nmax) for gens in data.levels.values()
+    )
 
 
 def free_component_regularity(spec, data, i, n):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from reference_pieces import piece_basis
+from cmreg import groebner
 from cmreg.fields import GF32003
 from cmreg.freemod import (
     GradedFreeModule,
@@ -92,6 +93,18 @@ def ci3_setup():
 def vec_sub(u, v):
     """u - v entrywise; the package has no vector subtraction of its own."""
     return tuple(a - b for a, b in zip(u, v))
+
+
+def divisor_table(elements, lts, order):
+    """A hand-built GroebnerBasis.table: position -> [(packed leading
+    monomial, coefficient, packed element)] for elements with leading terms
+    lts, kept in list order."""
+    pack = order.packing.pack
+    table = {}
+    for g, (k, e, c) in zip(elements, lts):
+        elem = [(m, t) for m, t in enumerate(groebner._packed(g, pack)) if t]
+        table.setdefault(k, []).append((pack(e), c, elem))
+    return table
 
 
 def vector_coords(F: GradedFreeModule, v, s: int, basis=None):

@@ -91,7 +91,7 @@ def minimal_presentation(M: ModulePresentation) -> ModulePresentation:
     F1 = M.relations.source
     pruned = minimize(FreeResolution(M.ring, [M.cover, F1], [M.relations]))
     F = pruned.modules[0]
-    cols = minimal_generators(pruned.maps[0].columns(), F)
+    cols = minimal_generators(pruned.maps[0].columns(), F).columns()
     return ModulePresentation(
         map_from_columns(tuple(vec_degree(F, c) for c in cols), F, cols)
     )
@@ -101,7 +101,7 @@ def _extend(current: GradedMap, degree_cap, minimal=True):
     """Next differential d: F -> source(current), or None at exactness."""
     K = kernel(current, cap=degree_cap)
     if minimal:
-        K = minimal_generators(K, current.source)
+        K = minimal_generators(K, current.source).columns()
     if not K:
         return None
     twists = tuple(vec_degree(current.source, v) for v in K)

@@ -410,6 +410,7 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys):
     noq = _write(tmp_path, "noq.prob", NO_QUOTIENT)
     capped = _write(tmp_path, "capped.prob", HYPERSURFACE + "params: hom_cap=1\n")
     negative = _write(tmp_path, "neg.prob", HYPERSURFACE + "params: imax=-1\n")
+    repeated = _write(tmp_path, "rep.prob", HYPERSURFACE + "params: imax=3 imax=5\n")
     deep = _write(tmp_path, "deep.prob", "ring d=1 char=32003\nideal I: "
                   + "(" * 1000 + "x1" + ")" * 1000 + "\n")
     # denominators divisible by the characteristic, and an integer longer
@@ -477,6 +478,7 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys):
         ["verify", hyp, "--module", "M", "--coeff", "M", "--ideal", "I", "--hom-cap", "1"],
         ["verify", capped, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["sweep", negative, "--module", "M", "--coeff", "M", "--ideal", "I"],
+        ["sweep", repeated, "--module", "M", "--coeff", "M", "--ideal", "I"],
         ["trigraded-bound", tri],
         *(["trigraded-bound", bad] for bad in tri_bad),
         ["reg", zero32003, "--module", "M"],

@@ -262,7 +262,7 @@ def _to_presentation_with_preimages(ambient, cycles, boundaries, degree_cap=DEFA
     """The former to_presentation, kept as a reference: the minimal
     generators of Z alone are the cover, and the relations are the kernel
     of the generator map plus one preimage per boundary."""
-    zmin = minimal_generators(cycles, ambient)
+    zmin = minimal_generators(cycles, ambient).columns()
     if not zmin:
         return SubquotientPresentation(ambient, [], free_presentation(ambient.ring, ()))
     twists = tuple(vec_degree(ambient, v) for v in zmin)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_poly, random_presentation, vec_sub, vector_coords
+from helpers import divisor_table, random_poly, random_presentation, vec_sub, vector_coords
 from reference_pieces import piece_basis, span_matrix
 from cmreg.errors import DegreeCapExceeded
 from cmreg.fields import GF32003, QQ
@@ -87,20 +87,22 @@ def test_spair_normal_forms_vanish(seed):
         if not gens:
             continue
         gb = buchberger(gens, F)
-        for i in range(len(gb.elements)):
-            for j in range(i + 1, len(gb.elements)):
-                ki, ei, ci = gb.leading_terms[i]
-                kj, ej, cj = gb.leading_terms[j]
+        # both views unpack the basis on each read, so read them once
+        elements, lts = gb.elements, gb.leading_terms
+        for i in range(len(elements)):
+            for j in range(i + 1, len(elements)):
+                ki, ei, ci = lts[i]
+                kj, ej, cj = lts[j]
                 if ki != kj:
                     continue
                 lcm = monomial_lcm(ei, ej)
                 s = vec_sub(
                     vec_mul_poly(
-                        gb.elements[i],
+                        elements[i],
                         Q2.monomial(monomial_div(lcm, ei), GF32003.inv(ci)),
                     ),
                     vec_mul_poly(
-                        gb.elements[j],
+                        elements[j],
                         Q2.monomial(monomial_div(lcm, ej), GF32003.inv(cj)),
                     ),
                 )
@@ -216,8 +218,8 @@ def test_minimal_generators_nakayama(seed):
             continue
         # adding obvious redundancies changes nothing
         padded = gens + [vec_mul_poly(gens[0], x1)]
-        a = minimal_generators(gens, F)
-        b = minimal_generators(padded, F)
+        a = minimal_generators(gens, F).columns()
+        b = minimal_generators(padded, F).columns()
         assert submodule_equal(gens, a, F)
         assert [len(v) for v in a] == [len(v) for v in b]
         from cmreg.freemod import vec_degree
@@ -290,14 +292,71 @@ def test_minimal_generators_matches_full_rref_reference(seed, field, quotient):
         if not gens:
             continue
         expected = _minimal_generators_full_rref(gens, F)
-        assert minimal_generators(gens, F) == expected
+        assert minimal_generators(gens, F).columns() == expected
         dropped += len(gens) - len(expected)
         one = vec_scale(mod_rng.choice(gens), F.base.field(mod_rng.randint(1, 3)))
         modulo = _random_gens(mod_rng, F, 2) + [one]
         expected_modulo = _minimal_generators_full_rref(gens, F, modulo)
-        assert minimal_generators(gens, F, modulo) == expected_modulo
+        assert minimal_generators(gens, F, modulo).columns() == expected_modulo
         dropped_modulo += len(expected) - len(expected_modulo)
     assert dropped > 0 and dropped_modulo > 0
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["poly", "quotient"])
+def test_minimal_generators_is_a_map_onto_F(seed, quotient):
+    # the source twists are the columns' degrees, non-increasing, and no
+    # column is left when every input lies in the modulo span
+    rng = random.Random(seed)
+    ring = _quotient_ring(GF32003) if quotient else PolyRing(2, GF32003)
+    F = GradedFreeModule(ring, (0, 1))
+    for trial in range(8):
+        gens = _redundant_gens(rng, F, 4)
+        if not gens:
+            continue
+        phi = minimal_generators(gens, F)
+        assert phi.target == F and phi.source.rank > 0
+        cols = phi.columns()
+        assert phi.source.twists == tuple(vec_degree(F, c) for c in cols)
+        assert list(phi.source.twists) == sorted(phi.source.twists, reverse=True)
+        x = F.base.variable(0)
+        for modulo in (gens, [vec_mul_poly(g, x) for g in gens] + gens[::-1]):
+            empty = minimal_generators(gens, F, modulo)
+            assert empty.target == F and empty.source.rank == 0
+    assert minimal_generators([], F) == map_from_columns((), F, [])
+
+
+def test_minimal_generators_and_kernels_unpack_only_what_they_return(seed, monkeypatch):
+    # minimal_generators reads the kept record of its basis and unpacks no
+    # element of it; a kernel unpacks the source-led elements and no other
+    import cmreg.groebner as groebner
+
+    calls = []
+    unpacked = groebner._unpacked
+
+    def counting(*args):
+        calls.append(args)
+        return unpacked(*args)
+
+    monkeypatch.setattr(groebner, "_unpacked", counting)
+    rng = random.Random(seed)
+    F = GradedFreeModule(Q2, (0, 1))
+    checked = 0
+    for trial in range(8):
+        gens = _redundant_gens(rng, F, 4)
+        if not gens:
+            continue
+        del calls[:]
+        phi = minimal_generators(gens, F)
+        assert calls == []
+        elim = Elimination(phi)
+        assert calls == []
+        ker = elim.kernel()
+        source_led = sum(
+            len(divs) for k, divs in elim.basis.table.items() if k >= elim.g_rank
+        )
+        assert len(calls) == len(ker) == source_led < len(elim.basis)
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("quotient", [False, True], ids=["poly", "quotient"])
@@ -414,7 +473,7 @@ def _reduced_reference(elements, gb):
         )
         out.append(vec_add(lead, normal_form(vec_sub(v, lead), gb)))
         lts.append((k, e, field.one))
-    return GroebnerBasis(gb.ambient, order, out, lts)
+    return GroebnerBasis(gb.ambient, order, divisor_table(out, lts, order))
 
 
 def _is_minimal_and_monic(gb):

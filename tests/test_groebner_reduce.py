@@ -18,6 +18,7 @@ from helpers import (
     random_poly,
     reduced_hypersurface_setup,
     two_relation_setup,
+    divisor_table,
     vec_sub,
 )
 from reference_pieces import vec_mul_term
@@ -123,7 +124,7 @@ def test_accumulator_matches_reference_division(seed, field):
             if not vec_is_zero(v)
         ]
         lts = [order.leading_term(v) for v in elements]
-        gb = GroebnerBasis(F, order, elements, lts)
+        gb = GroebnerBasis(F, order, divisor_table(elements, lts, order))
         for _ in range(3):
             vec = _random_vector(rng, F, base + rng.randint(1, 3))
             before = _snapshot([vec] + elements)

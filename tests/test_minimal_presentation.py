@@ -37,7 +37,7 @@ def _loop_minimal_presentation(M):
     cols = [vec_reduce_entries(F, c) for c in M.relations.columns()]
     cols = [c for c in cols if not vec_is_zero(c)]
     while True:
-        cols = minimal_generators(cols, F)
+        cols = minimal_generators(cols, F).columns()
         d1 = map_from_columns(tuple(vec_degree(F, c) for c in cols), F, cols)
         pruned = minimize(FreeResolution(ring, [F, d1.source], [d1]))
         newF = pruned.modules[0]
@@ -140,7 +140,7 @@ def test_minimal_presentation_over_A_is_minimal_and_equivalent():
             Mmin = minimal_presentation(M)
             assert not _unit_entries(Mmin)
             cols = Mmin.relations.columns()
-            assert len(minimal_generators(cols, Mmin.cover)) == len(cols)
+            assert len(minimal_generators(cols, Mmin.cover).columns()) == len(cols)
             lo = min(M.cover.twists)
             assert hilbert_function(Mmin, lo, lo + 5) == hilbert_function(M, lo, lo + 5)
 

@@ -215,6 +215,18 @@ def test_unknown_candidate_reports_params_line():
     assert pf.params["candidates"] == ("I", "J")
 
 
+def test_repeated_params_key_is_rejected():
+    # a repeated key is an error, as repeated lines and names are, not a
+    # silent last-wins
+    for line in ("params: imax=3 imax=5", "params: candidates=I nmax=1 candidates=I"):
+        text = "ring d=2 char=32003\nideal I: x1\n" + line + "\n"
+        with pytest.raises(ProblemSemanticError) as err:
+            parse_problem(text)
+        assert err.value.line == 3
+        key = line.split()[-1].split("=")[0]
+        assert str(err.value) == f"line 3: duplicate parameter {key!r}"
+
+
 def test_zero_relation_vector_rejected():
     with pytest.raises(ProblemSemanticError):
         parse_problem(
