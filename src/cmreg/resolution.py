@@ -75,8 +75,10 @@ class BettiTable:
     """Graded Betti numbers beta_{ij} with finite support.
 
     minimal: counts come from a minimal resolution and are intrinsic.
-    window: (lo, hi) degree range actually inspected (oracle tables);
-    partial: the window may clip genuine entries.
+    window: (lo, hi), oracle tables only: every beta_ij with lo <= j <= hi
+    is in the table, and none lies below lo.
+    partial: entries above hi may be missing.  When False, beta_ij = 0 for
+    every j > hi: the oracle proved it by a regularity certificate.
     """
 
     def __init__(self, entries, minimal=True, window=None, partial=False):

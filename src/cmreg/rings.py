@@ -352,21 +352,28 @@ class QuotientRing:
 
         return normal_form((p,), self._groebner_of_relations())[0]
 
-    def is_std_monomial(self, exps) -> bool:
+    def _leading_exponents(self):
+        """Exponents of the leading terms of the Groebner basis of (z)."""
         if not self.relations:
-            return True
-        gb = self._groebner_of_relations()
-        return not any(monomial_divides(e, exps) for _, e, _ in gb.leading_terms)
+            return []
+        return [e for _, e, _ in self._groebner_of_relations().leading_terms]
+
+    def is_std_monomial(self, exps) -> bool:
+        return not any(monomial_divides(e, exps) for e in self._leading_exponents())
 
     def std_monomials_of_degree(self, s: int):
-        return [e for e in self.base.monomials_of_degree(s) if self.is_std_monomial(e)]
+        # the leading exponents once per call: each read unpacks the basis
+        lts = self._leading_exponents()
+        return [
+            m for m in self.base.monomials_of_degree(s)
+            if not any(monomial_divides(e, m) for e in lts)
+        ]
 
     def _check_regular_sequence(self):
         # ht(z) = c iff dim Q/(z) = d - c; for c homogeneous generators in a
         # polynomial ring this certifies the sequence is regular.  Q/(z) has
         # the dimension of Q/(lt(z-GB)), a monomial ideal.
-        lts = [e for _, e, _ in self._groebner_of_relations().leading_terms]
-        dim = _monomial_quotient_dimension(lts, self.base.nvars)
+        dim = _monomial_quotient_dimension(self._leading_exponents(), self.base.nvars)
         expected = self.base.nvars - len(self.relations)
         if dim != expected:
             raise ValueError(

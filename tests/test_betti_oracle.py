@@ -18,7 +18,7 @@ from helpers import (
     two_relation_setup,
 )
 from reference_pieces import piece_basis, presentation_hilbert
-from cmreg.fields import GF32003, QQ
+from cmreg.fields import GF32003, QQ, PrimeField
 from cmreg.freemod import free_presentation
 from cmreg.regularity import GradedPieces, betti_oracle, hilbert_function, present_over_Q
 from cmreg.resolution import betti_table, resolve_over_A, resolve_over_Q
@@ -71,6 +71,85 @@ def test_oracle_partial_window_flag():
         assert full.entries.get((i, j)) == b
 
 
+def test_the_search_starts_where_the_relations_allow(monkeypatch):
+    # S/(x1^3 + x2^3) is generated in degree 0, and x1, x2 pass the
+    # injectivity and vanishing tests already at m = 0, but reg = 2: the
+    # relation in degree 3 puts the search's first m at 2
+    R = importlib.import_module("cmreg.regularity")
+    M = cyclic_quotient(Q2, ["x1^3 + x2^3"])
+    x1_x2 = [[GF32003.one, GF32003.zero], [GF32003.zero, GF32003.one]]
+    real = R._certifies
+    assert real(GradedPieces(M, -1, 2), 0, x1_x2)
+    # the vanishing test is what sees a generator above m: S(-1) passes both
+    # injectivity tests at m = 0, and M/(x1, x2)M is K in degree 1
+    assert not real(GradedPieces(free_presentation(Q2, (1,)), 0, 2), 0, x1_x2)
+    tried = []
+
+    def recording(pieces, m, forms):
+        tried.append((m, real(pieces, m, forms)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(R, "_certifies", recording)
+    table = betti_oracle(M)
+    assert tried == [(2, True)]
+    assert table.entries == {(0, 0): 1, (1, 3): 1}
+    assert (table.window, table.partial) == ((0, 4), False)
+
+
+def test_the_certificate_fails_below_the_regularity(seed):
+    # whatever forms are drawn, no m in [m0, reg) is certified
+    R = importlib.import_module("cmreg.regularity")
+    rng = random.Random(seed + 5)
+    checked = 0
+    for ring in (Q2, PolyRing(3, GF32003), PolyRing(2, PrimeField(3))):
+        for _ in range(10):
+            M = random_presentation(rng, ring, max_rels=3)
+            reg = _resolution_betti(M).regularity()
+            MQ = present_over_Q(M)
+            pieces = GradedPieces(MQ, min(MQ.cover.twists) - 1, max(reg, _m0(M)) + 2)
+            for m in range(_m0(M), reg):
+                for k in range(3):
+                    forms = R._forms(ring.field, ring.nvars, random.Random(k))
+                    assert not R._certifies(pieces, m, forms), (M, m, forms)
+                    checked += 1
+    assert checked >= 30
+
+
+def _oracle_with_form_seed(monkeypatch, M, form_seed):
+    monkeypatch.setattr(importlib.import_module("cmreg.regularity"), "_FORM_SEED", form_seed)
+    return betti_oracle(M)
+
+
+def _clipped(table, hi):
+    return {(i, j): b for (i, j), b in table.entries.items() if j <= hi}
+
+
+def test_oracle_does_not_depend_on_the_characteristic(seed, monkeypatch):
+    # certified tables equal the minimal resolution's over small fields and
+    # QQ, and two form seeds give equal tables; an uncertified (partial)
+    # table still equals the resolution's below its window top
+    rng = random.Random(seed + 9)
+    partial = Counter()
+    for field in (PrimeField(2), PrimeField(3), PrimeField(7), QQ):
+        for d in (2, 3):
+            ring = PolyRing(d, field)
+            for _ in range(6):
+                M = random_presentation(rng, ring, max_rels=3)
+                truth = _resolution_betti(M)
+                tables = [_oracle_with_form_seed(monkeypatch, M, k) for k in (0, 1)]
+                for table in tables:
+                    partial[field] += table.partial
+                    if table.partial:
+                        assert table.entries == _clipped(truth, table.window[1]), M
+                    else:
+                        assert table == truth, M
+                hi = min(t.window[1] for t in tables)
+                assert _clipped(tables[0], hi) == _clipped(tables[1], hi), M
+    # partial counts over GF(2), GF(3), GF(7) and QQ at the default seed:
+    # 1, 0, 0 and 0 of 24 tables each
+    assert sum(partial.values()) <= 8, partial
+
+
 def test_oracle_builds_each_koszul_matrix_once(monkeypatch):
     # `cmreg.regularity` as an attribute is the re-exported function
     R = importlib.import_module("cmreg.regularity")
@@ -86,9 +165,13 @@ def test_oracle_builds_each_koszul_matrix_once(monkeypatch):
     M = cyclic_quotient(Q3, ["x1^2", "x2*x3", "x1*x3^2"])
     table = betti_oracle(M)
     assert built and max(built.values()) == 1
-    # d_0 .. d_4 for 3 variables, over the whole window, nothing more
+    # d_1 .. d_3 for 3 variables on the certified strip lo <= j - i <= m of
+    # the window (lo, m + 3), nothing more
     lo, hi = table.window
-    assert set(built) == {(i, j) for i in range(5) for j in range(lo, hi + 1)}
+    m = hi - 3
+    assert not table.partial and m == table.regularity() == 2
+    strip = {(i, s + i) for i in range(1, 4) for s in range(lo, m + 1)}
+    assert set(built) == strip
     assert table == _resolution_betti(M)
 
 
@@ -122,7 +205,8 @@ def test_resolution_euler_characteristic(seed, monkeypatch):
     assert len(modules) > 12
     for M in modules:
         R = resolve_over_Q(present_over_Q(M))
-        window = betti_oracle(M).window
+        # the reference oracle's window reaches above the certified one
+        window = ref.betti_oracle(M).window
         if window is None:  # the zero module
             assert not any(F.rank for F in R.modules)
             continue
@@ -141,16 +225,46 @@ def _acceptance_modules():
     return out
 
 
-def _assert_same_as_reference(M, deg_cap=None):
+def _m0(M):
+    """The least m with the Q-presentation's generators in degrees <= m and
+    its relations in degrees <= m + 1."""
+    MQ = present_over_Q(M)
+    return max(list(MQ.cover.twists) + [t - 1 for t in MQ.relations.source.twists])
+
+
+def _assert_certified(M):
+    """betti_oracle(M) against the reference: equal entries; the reference's
+    window when no certificate was found, and otherwise the window
+    (lo, m + d) of a certified m >= m0 that bounds the regularity, below
+    the reference's top."""
+    new, old = betti_oracle(M), ref.betti_oracle(M)
+    assert new.entries == old.entries, M
+    if new.partial:
+        assert new.window == old.window, M
+        return new
+    lo, hi = new.window
+    m = hi - M.ring.nvars
+    assert lo == old.window[0] and hi <= old.window[1], M
+    assert m >= max(_m0(M), _resolution_betti(M).regularity()), M
+    return new
+
+
+def _assert_cut_window(M, full, deg_cap):
+    """betti_oracle(M, deg_cap): the reference's entries; the full table's
+    window when that fits under the cap, and otherwise (lo, deg_cap),
+    partial."""
     new, old = betti_oracle(M, deg_cap), ref.betti_oracle(M, deg_cap)
-    assert (new.entries, new.window, new.partial) == (
-        old.entries, old.window, old.partial
-    ), (M, deg_cap)
+    assert new.entries == old.entries, (M, deg_cap)
+    if not full.partial and full.window[1] <= deg_cap:
+        assert (new.window, new.partial) == (full.window, False), (M, deg_cap)
+    else:
+        assert (new.window, new.partial) == ((full.window[0], deg_cap), True), (M, deg_cap)
 
 
 def test_oracle_matches_the_ambient_reference(seed):
-    # pieces built degree by degree against pieces cut out of the ambient
-    # monomial basis: equal Betti tables, windows and partial flags
+    # pieces built degree by degree on a certified window against pieces
+    # cut out of the ambient monomial basis on the reference's window:
+    # equal Betti tables; windows and partial flags by the certified rule
     rng = random.Random(seed)
     Q3 = PolyRing(3, GF32003)
     modules = [random_presentation(rng, Q3) for _ in range(8)]
@@ -158,14 +272,24 @@ def test_oracle_matches_the_ambient_reference(seed):
     modules += [random_presentation(rng, Q2) for _ in range(12)]
     modules.append(free_presentation(Q3, (-2, 0, -1)))
     modules.append(cyclic_quotient(Q3, ["1"]))  # a unit relation: M = 0
+    # the betti_oracle_q3 benchmark's 13 modules, up to its diagonal rescaling
+    draws = random.Random(20260825)
+    modules += [random_presentation(draws, Q3, max_rels=3) for _ in range(13)]
     modules += _acceptance_modules()
-    for M in modules:
-        _assert_same_as_reference(M)
-    # windows cut below the recommended one
-    for M in modules[:4] + modules[-8:]:
-        lo = betti_oracle(M).window[0]
-        for deg_cap in (lo, lo + 2):
-            _assert_same_as_reference(M, deg_cap)
+    full = [_assert_certified(M) for M in modules]
+    # over GF(32003) the forms pass at the first m that can pass
+    for M, table in zip(modules, full):
+        if M.ring.field == GF32003:
+            assert not table.partial
+            assert table.window[1] - M.ring.nvars == max(
+                _m0(M), _resolution_betti(M).regularity()
+            ), M
+    # windows cut below the full one
+    pairs = list(zip(modules, full))
+    for M, table in pairs[:4] + pairs[-8:]:
+        lo = table.window[0]
+        for deg_cap in (lo, lo + 2, table.window[1] - 1, table.window[1]):
+            _assert_cut_window(M, table, deg_cap)
 
 
 def _product(field, A, B, ncols):
@@ -179,8 +303,9 @@ def _product(field, A, B, ncols):
 
 def test_pieces_match_the_hilbert_function_and_commute(seed):
     # dim M_s against the ambient rank count of the reference
-    # presentation_hilbert on the oracle's whole window, and
-    # x_v x_w = x_w x_v as maps M_s -> M_{s+2}
+    # presentation_hilbert on the reference oracle's whole window, and
+    # x_v x_w = x_w x_v as maps M_s -> M_{s+2}; pieces extended one degree
+    # at a time equal pieces built at once
     rng = random.Random(seed + 1)
     modules = [random_presentation(rng, PolyRing(3, GF32003)) for _ in range(6)]
     modules += [random_presentation(rng, Q2) for _ in range(6)]
@@ -188,8 +313,16 @@ def test_pieces_match_the_hilbert_function_and_commute(seed):
     products = 0
     for M in modules:
         MQ = present_over_Q(M)
-        lo, hi = betti_oracle(M).window
+        lo, hi = ref.betti_oracle(M).window
         P = GradedPieces(MQ, lo - 1, hi + 1)
+        stepped = GradedPieces(MQ, lo - 1, lo - 1)
+        for top in range(lo, hi + 2):
+            stepped.extend(top)
+        assert stepped.hi == P.hi
+        for s in range(lo - 1, hi + 1):
+            assert stepped.dim(s) == P.dim(s)
+            for v in range(P.ring.nvars):
+                assert stepped.mult_matrix(v, s) == P.mult_matrix(v, s), (M, s, v)
         for s in range(lo - 2, hi + 3):
             assert P.dim(s) == (presentation_hilbert(MQ, s) if lo - 1 <= s <= hi + 1 else 0)
         for s in range(lo - 1, hi):

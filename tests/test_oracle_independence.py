@@ -1,7 +1,8 @@
 """The Betti oracle and the Hilbert function share no code path with the
 Groebner engine.
 
-GradedPieces, hilbert_function, _koszul_matrix and betti_oracle, and the
+GradedPieces, hilbert_function, _koszul_matrix, _certifies (the
+certificate that bounds the oracle's window) and betti_oracle, and the
 private helpers of regularity.py that they reach, may not reference a name
 from cmreg.groebner, nor one from cmreg.resolution other than BettiTable,
 the table type the oracle returns.  present_over_Q, which they share with
@@ -16,7 +17,7 @@ from pathlib import Path
 import cmreg
 
 SOURCE = Path(cmreg.__file__).parent / "regularity.py"
-ORACLE = ("GradedPieces", "hilbert_function", "_koszul_matrix", "betti_oracle")
+ORACLE = ("GradedPieces", "hilbert_function", "_koszul_matrix", "_certifies", "betti_oracle")
 FORBIDDEN = {"groebner": set(), "resolution": {"BettiTable"}}
 
 
@@ -95,9 +96,10 @@ def test_oracle_references_no_groebner_or_resolution_code():
     text = SOURCE.read_text()
     assert not _violations(text), _violations(text)
     # the guard follows the oracle into its private helpers
-    assert {"GradedPieces", "hilbert_function", "_koszul_matrix", "betti_oracle", "_split"} <= {
-        top.name for top in _reach(ast.parse(text), ORACLE)
-    }
+    assert {
+        "GradedPieces", "hilbert_function", "_koszul_matrix", "_certifies", "betti_oracle",
+        "_split", "_times", "_forms",
+    } <= {top.name for top in _reach(ast.parse(text), ORACLE)}
 
 
 def test_guard_catches_a_borrowed_name():
@@ -110,10 +112,13 @@ def test_guard_catches_a_borrowed_name():
     )
     clean = (
         "class GradedPieces: pass\ndef hilbert_function(): pass\n"
-        "def _koszul_matrix(): pass\n"
+        "def _koszul_matrix(): pass\ndef _certifies(): pass\n"
     )
     oracle = "def betti_oracle():\n    return BettiTable({}), res.BettiTable({})\n"
     assert _violations(header + clean + oracle) == []
+    # the certificate is guarded as a root of its own
+    borrowed = clean.replace("def _certifies(): pass", "def _certifies():\n    return kernel(x)")
+    assert _violations(header + borrowed + oracle)
     for body in (
         "    return betti_table(x)\n",
         "    return kernel(x)\n",

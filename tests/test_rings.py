@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_signed_poly
+from helpers import ci3_setup, random_signed_poly
 from cmreg.errors import HomogeneityError
 from cmreg.fields import GF32003, QQ, PrimeField, _is_prime
 from cmreg.rings import (
@@ -161,6 +161,26 @@ def test_quotient_std_monomials():
     assert set(A.std_monomials_of_degree(2)) == {(1, 1), (0, 2)}
     assert A.std_monomials_of_degree(3) == [(1, 2)]
     assert A.std_monomials_of_degree(4) == []
+
+
+def test_std_monomials_read_the_relation_leads_once(monkeypatch):
+    # the filter over one degree equals the per-monomial test, and reads the
+    # relations' leading exponents once, not once per monomial
+    A = ci3_setup()[0]
+    reads = []
+    real = A._leading_exponents
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(A, "_leading_exponents", counting)
+    for s in range(9):
+        reads.clear()
+        std = A.std_monomials_of_degree(s)
+        assert len(reads) == 1
+        assert std == [e for e in A.base.monomials_of_degree(s) if A.is_std_monomial(e)]
+    assert std and len(std) < len(A.base.monomials_of_degree(8))
 
 
 def test_regular_sequence_check():
