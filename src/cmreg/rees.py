@@ -192,11 +192,7 @@ def rho_upper(
     pool.extend(candidates)
     pool.append(I)
     pool.sort(key=lambda J: (J.d1(), len(J.generators)))
-    best = None
-    for J in pool:
-        if best is not None and J.d1() >= best.value:
-            break
+    for J in pool:  # least d(J) first, and I itself certifies at n = 0
         cert = is_reduction(J, I, N, n_max, degree_cap)
         if cert.found:
-            best = RhoBound(J.d1(), J, cert, truncated)
-    return best
+            return RhoBound(J.d1(), J, cert, truncated)

@@ -57,7 +57,7 @@ def _split(e):
 
 
 class GradedPieces:
-    """Exact graded pieces M_s of a Q-presentation on a degree window, with
+    """Exact graded pieces M_s of a Q-presentation up to a top degree, with
     the multiplication maps by the variables, built degree by degree.
 
     F_s is the sum of the x_v F_{s-1} and the generators of twist s, and the
@@ -69,20 +69,18 @@ class GradedPieces:
     free columns) and x_v: M_{s-1} -> M_s, whose column is a unit vector at
     a free column and minus its pivot row on the free ones otherwise.
 
-    The window is lo..hi; extend(hi) raises hi, building only the degrees
-    not built yet, so a caller that learns its top degree late pays for
-    each degree once.
+    Pieces start at the lowest cover twist and reach hi; extend(hi) builds
+    only the degrees not built yet, so a caller that learns its top degree
+    late pays for each degree once.  A degree not built reads as 0.
     """
 
-    def __init__(self, M: ModulePresentation, lo: int, hi: int):
+    def __init__(self, M: ModulePresentation, hi: int):
         ring = M.ring
         if isinstance(ring, QuotientRing):
             raise ValueError("GradedPieces expects a presentation over Q")
         self.M = M
         self.ring = ring
         self.field = ring.field
-        self.lo = lo
-        self.hi = lo - 1
         self._dim, self._mult, self._coords = {}, {}, {}
         self._rels = {}
         for t, col in zip(M.relations.source.twists, M.relations.columns()):
@@ -92,7 +90,7 @@ class GradedPieces:
         self.extend(hi)
 
     def extend(self, hi: int):
-        """Build the pieces up to degree hi and make hi the window's top."""
+        """Build the pieces up to degree hi."""
         field, d = self.field, self.ring.nvars
         zero, neg = field.zero, field.neg
         twists = self.M.cover.twists
@@ -136,7 +134,6 @@ class GradedPieces:
                 self._coords[k, (0,) * d] = images[d * n1 + g]
         self._images = images
         self._next = max(self._next, hi + 1)
-        self.hi = max(self.hi, hi)
 
     def _class(self, k: int, e):
         """Coordinates of x^e e_k: those of e_k pushed through the x_v,
@@ -151,19 +148,19 @@ class GradedPieces:
         return self._coords[k, e]
 
     def dim(self, s: int) -> int:
-        return self._dim.get(s, 0) if self.lo <= s <= self.hi else 0
+        return self._dim.get(s, 0)
 
     def mult_matrix(self, var: int, s: int):
         """Matrix of x_var: M_s -> M_{s+1}, columns indexed by the M_s
         basis, rows by the M_{s+1} basis."""
-        if self.lo <= s < self.hi and (var, s) in self._mult:
+        if (var, s) in self._mult:
             return self._mult[var, s]
         return [[self.field.zero] * self.dim(s) for _ in range(self.dim(s + 1))]
 
 
 def hilbert_function(M: ModulePresentation, lo: int, hi: int):
-    """[dim_K M_s for lo <= s <= hi], read off one GradedPieces window."""
-    pieces = GradedPieces(present_over_Q(M), lo, hi)
+    """[dim_K M_s for lo <= s <= hi], read off one GradedPieces."""
+    pieces = GradedPieces(present_over_Q(M), hi)
     return [pieces.dim(s) for s in range(lo, hi + 1)]
 
 
@@ -260,7 +257,7 @@ def _certifies(pieces: GradedPieces, m: int, forms) -> bool:
     return rank_low == top
 
 
-def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
+def betti_oracle(M: ModulePresentation) -> BettiTable:
     """Graded Betti numbers beta_ij by Koszul homology:
     beta_ij = dim H_i(K(x) tensor M)_j, all linear algebra on graded pieces,
     on a window (lo, hi) that a certificate proves complete.
@@ -273,10 +270,10 @@ def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
     window is (lo, m + d), not partial.  Generic forms pass at every
     m >= max(m0, reg M) (Bayer-Stillman (c)), so over a large field the
     window top is usually reg M + d; over a small one the forms may keep
-    failing.  The search stops where m + d would pass the cap: deg_cap if
-    given, otherwise a resource bound that grows with the twists and the
-    sum of the two top relation twists.  Without a certificate the table is
-    every beta_ij with j <= cap, the window (lo, cap) and partial True.
+    failing.  The search stops where m + d would pass the cap, a resource
+    bound that grows with the twists and the sum of the two top relation
+    twists.  Without a certificate the table is every beta_ij with
+    j <= cap, the window (lo, cap) and partial True.
     """
     MQ = present_over_Q(M)
     d = MQ.ring.nvars
@@ -285,13 +282,11 @@ def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
         return BettiTable({}, minimal=True, window=None, partial=False)
     lo = min(twists)
     rel_twists = sorted(MQ.relations.source.twists, reverse=True)
-    cap = deg_cap
-    if cap is None:
-        cap = max(list(twists) + rel_twists) + d + 2
-        if len(rel_twists) >= 2:
-            cap = max(cap, rel_twists[0] + rel_twists[1] - lo + d + 2)
+    cap = max(list(twists) + rel_twists) + d + 2
+    if len(rel_twists) >= 2:
+        cap = max(cap, rel_twists[0] + rel_twists[1] - lo + d + 2)
     m0 = max(list(twists) + [t - 1 for t in rel_twists])
-    pieces = GradedPieces(MQ, lo - 1, lo - 1)  # the search extends it
+    pieces = GradedPieces(MQ, lo - 1)  # the search extends it
     field, rng = pieces.field, random.Random(_FORM_SEED)
     for m in range(m0, cap - d + 1):
         pieces.extend(m + 2)

@@ -149,15 +149,14 @@ def _weight_sums(weights, total):
 def _top_weight_sums(weights, tmax):
     """(top(weights, t) for t in 0..tmax): the largest w.u over the weak
     compositions u of t into len(weights) parts, NEG_INF when there is none.
-    Each composition of t is one of t - x into the parts before the last,
-    followed by x, so the weights are taken one at a time, in any order,
-    without listing the compositions."""
-    tops = (0,) + (NEG_INF,) * tmax
+    Weights come one at a time, in any order, and no composition is listed:
+    one of t gives a new part of weight w the value 0, or is one of t - 1
+    with that part raised by 1, so top'(t) = max(top(t), top'(t - 1) + w)."""
+    tops = [0] + [NEG_INF] * tmax
     for w in weights:
-        tops = tuple(
-            max(tops[t - x] + w * x for x in range(t + 1)) for t in range(tmax + 1)
-        )
-    return tops
+        for t in range(1, tmax + 1):
+            tops[t] = max(tops[t], tops[t - 1] + w)
+    return tuple(tops)
 
 
 def component_twists(spec: TrigradedRingSpec, data: TrigradedFreeData, l, i, n):

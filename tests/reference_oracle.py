@@ -104,14 +104,14 @@ def _koszul_matrix(pieces: GradedPieces, i: int, j: int):
     return rows, ncols
 
 
-def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
-    """Graded Betti numbers beta_ij for j <= deg_cap by Koszul homology:
+def betti_oracle(M: ModulePresentation) -> BettiTable:
+    """Graded Betti numbers beta_ij for j <= top by Koszul homology:
     beta_ij = dim H_i(K(x) tensor M)_j, all linear algebra on graded pieces.
 
-    The default window grows with the relation degrees as well as the
+    The window's top grows with the relation degrees as well as the
     generator degrees, since second syzygies can sit as high as a sum of
     two relation degrees (two generators of an ideal with coprime leading
-    forms already show this).  A smaller explicit cap sets the partial flag.
+    forms already show this).
     """
     MQ = present_over_Q(M)
     ring = MQ.ring
@@ -121,28 +121,25 @@ def betti_oracle(M: ModulePresentation, deg_cap=None) -> BettiTable:
         return BettiTable({}, minimal=True, window=None, partial=False)
     lo = min(twists)
     rel_twists = sorted(MQ.relations.source.twists, reverse=True)
-    recommended = max(list(twists) + rel_twists) + d + 2
+    top = max(list(twists) + rel_twists) + d + 2
     if len(rel_twists) >= 2:
         pair = rel_twists[0] + rel_twists[1] - lo
-        recommended = max(recommended, pair + d + 2)
-    if deg_cap is None:
-        deg_cap = recommended
-    partial = deg_cap < recommended
-    pieces = GradedPieces(MQ, lo - 1, deg_cap + 1)
+        top = max(top, pair + d + 2)
+    pieces = GradedPieces(MQ, lo - 1, top + 1)
     # each Koszul differential d_i is built and ranked once per degree j:
     # beta_ij = dim ker (d_i)_j - dim im (d_{i+1})_j
     ker, im = {}, {}
     for i in range(d + 2):
-        for j in range(lo, deg_cap + 1):
+        for j in range(lo, top + 1):
             rows, ncols = _koszul_matrix(pieces, i, j)
             im[i, j] = rank(rows, pieces.field)
             ker[i, j] = ncols - im[i, j]
     entries = {}
     for i in range(d + 1):
-        for j in range(lo, deg_cap + 1):
+        for j in range(lo, top + 1):
             b = ker[i, j] - im[i + 1, j]
             if b:
                 entries[(i, j)] = b
     return BettiTable(
-        entries, minimal=True, window=(lo, deg_cap), partial=partial
+        entries, minimal=True, window=(lo, top), partial=False
     )

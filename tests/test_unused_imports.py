@@ -1,9 +1,8 @@
 """Every name the package imports is used in the module that imports it,
 and every parameter of a package function is read in its body.
 
-__init__.py re-exports its imports and is exempt, as are __future__
-imports.  The parameter scan exempts self, cls, _-prefixed names and
-dunder methods, whose signatures the data model fixes.
+__future__ imports are exempt.  The parameter scan exempts self, cls,
+_-prefixed names and dunder methods, whose signatures the data model fixes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ def _unused_imports(tree):
 
 
 def test_package_has_no_unused_imports():
-    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     unused = [
         f"{path.name}:{line}: {name}"
