@@ -57,9 +57,11 @@ print(f"0 is a reduction of I: {cert0.found}  (searched up to n = {cert0.n_max})
 
 # -- certified upper bounds for rho --------------------------------------
 
-# rho_upper tries all subsets of the generators of I (plus any explicit
-# candidates), keeps the certified reductions, and reports the smallest
-# generator degree d(J) among them.
+# rho_upper tries the zero ideal, one ideal J_t per generator degree t of I
+# (its minimal generators of degree <= t; the top one is I), plus any
+# explicit candidates, keeps the certified reductions, and reports the
+# smallest generator degree d(J) among them.  A subset of the generators
+# that is a reduction lies in some J_t of the same d, which is one too.
 bound = rho_upper(I, N, n_max=3)
 print()
 print("rho upper bound:", bound.value, f"({bound.label})")

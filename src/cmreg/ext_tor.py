@@ -42,8 +42,7 @@ class SubquotientPresentation:
     None when Z/B is zero.
     """
 
-    def __init__(self, ambient, generators, presentation, elimination=None):
-        self.ambient = ambient
+    def __init__(self, generators, presentation, elimination=None):
         self.generators = generators
         self.presentation = presentation
         self.elimination = elimination
@@ -57,10 +56,10 @@ def to_presentation(ambient, cycles, boundaries, degree_cap=DEFAULT_DEGREE_CAP):
     Betti numbers beta_0 and beta_1 of Z/B."""
     zmap = minimal_generators(cycles, ambient, modulo=boundaries)
     if not zmap.source.rank:
-        return SubquotientPresentation(ambient, [], free_presentation(ambient.ring, ()))
+        return SubquotientPresentation([], free_presentation(ambient.ring, ()))
     elim = Elimination(zmap, degree_cap, modulo=boundaries)
     pres = ModulePresentation(minimal_generators(elim.kernel(), zmap.source))
-    return SubquotientPresentation(ambient, zmap.columns(), pres, elim)
+    return SubquotientPresentation(zmap.columns(), pres, elim)
 
 
 # -- hom and tensor complexes --------------------------------------------------

@@ -4,14 +4,15 @@ certified upper bound for the reduction-degree invariant rho_N(I).
 rho_N(I) is the least d(J) over homogeneous ideals J <= I with
 I^{n+1}N = J I^n N for some n.  Finding true minimal reductions needs
 genericity arguments, so rho_upper only certifies an upper bound: it tries
-candidate ideals (by default all subsets of the minimal generators of I),
-keeps those whose reduction property it can witness on the checked range,
-and reports the smallest d(J) among them.
+the zero ideal, the ideals J_t generated by the minimal generators of I of
+degree <= t (one per generator degree t, the top one being I) and any
+explicit candidates, keeps those whose reduction property it can witness on
+the checked range, and reports the smallest d(J) among them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .errors import ReductionPreconditionError
 from .ext_tor import to_presentation
@@ -147,20 +148,10 @@ class RhoBound:
 
     label = "upper bound"
 
-    def __init__(
-        self,
-        value: int,
-        witness: IdealData,
-        certificate: ReductionCertificate,
-        truncated: bool,
-    ):
+    def __init__(self, value: int, witness: IdealData, certificate: ReductionCertificate):
         self.value = value
         self.witness = witness
         self.certificate = certificate
-        self.truncated = truncated
-
-
-SUBSET_ENUM_LIMIT = 8
 
 
 def rho_upper(
@@ -172,27 +163,24 @@ def rho_upper(
 ) -> RhoBound:
     """min d(J) over candidate ideals certified as N-reductions of I.
 
-    Default candidates are all subsets of the minimal generators of I
-    (skipped, with the truncated flag set, when I has more than
-    SUBSET_ENUM_LIMIT generators); I itself is always included and always
-    succeeds at n = 0, so n_max must be >= 0.
+    The candidates are the zero ideal, J_t = (the minimal generators of I
+    of degree <= t) for each generator degree t of I, and the caller's
+    candidates; the top J_t is I, which certifies at n = 0, so n_max must
+    be >= 0.  A subset of the generators of degree <= t that is a reduction
+    at n lies in J_t, which then is one at n too (J I^n N <= J_t I^n N <=
+    I^{n+1} N), and d(J_t) = t as a subset of a minimal generating set is
+    minimal, so no subset gives a smaller bound.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     ring = I.ring
-    pool = []
-    truncated = False
-    b = len(I.generators)
-    if b <= SUBSET_ENUM_LIMIT:
-        for size in range(b + 1):
-            for pick in combinations(range(b), size):
-                pool.append(IdealData(ring, [I.generators[t] for t in pick]))
-    else:
-        truncated = True
+    pool = [IdealData(ring, [])]
+    for t in sorted(set(I.degrees))[:-1]:
+        pool.append(IdealData(ring, [g for g in I.generators if g.degree <= t]))
     pool.extend(candidates)
     pool.append(I)
     pool.sort(key=lambda J: (J.d1(), len(J.generators)))
     for J in pool:  # least d(J) first, and I itself certifies at n = 0
         cert = is_reduction(J, I, N, n_max, degree_cap)
         if cert.found:
-            return RhoBound(J.d1(), J, cert, truncated)
+            return RhoBound(J.d1(), J, cert)

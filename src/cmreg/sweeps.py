@@ -241,7 +241,6 @@ class BoundReport:
         violations: list,
         unverified: list,
         fits: dict,
-        note: str = GRID_LIMITATION_NOTE,
     ):
         self.rho_hat = rho_hat
         self.f = f
@@ -250,7 +249,7 @@ class BoundReport:
         self.violations = violations
         self.unverified = unverified
         self.fits = fits
-        self.note = note
+        self.note = GRID_LIMITATION_NOTE
 
     @property
     def ok(self):

@@ -264,7 +264,7 @@ def _to_presentation_with_preimages(ambient, cycles, boundaries, degree_cap=DEFA
     of the generator map plus one preimage per boundary."""
     zmin = minimal_generators(cycles, ambient).columns()
     if not zmin:
-        return SubquotientPresentation(ambient, [], free_presentation(ambient.ring, ()))
+        return SubquotientPresentation([], free_presentation(ambient.ring, ()))
     twists = tuple(vec_degree(ambient, v) for v in zmin)
     zmap = map_from_columns(twists, ambient, zmin)
     elim = Elimination(zmap, degree_cap)
@@ -280,7 +280,7 @@ def _to_presentation_with_preimages(ambient, cycles, boundaries, degree_cap=DEFA
             rel_cols.append(coords)
     rel_twists = tuple(vec_degree(zmap.source, c) for c in rel_cols)
     pres = ModulePresentation(map_from_columns(rel_twists, zmap.source, rel_cols))
-    return SubquotientPresentation(ambient, zmin, pres)
+    return SubquotientPresentation(zmin, pres)
 
 
 def _assert_same_module_no_larger(new, old):

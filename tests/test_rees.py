@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 import cmreg.groebner
+import cmreg.rees
 from helpers import (
     ci3_setup,
     cyclic_quotient,
@@ -177,7 +178,7 @@ def test_is_reduction_matches_the_two_sided_check(seed):
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("hypersurface", 8), ("two_relation", 8), ("reduced_hypersurface", 8), ("ci3", 15)],
+    [("hypersurface", 7), ("two_relation", 7), ("reduced_hypersurface", 7), ("ci3", 7)],
 )
 def test_rho_upper_buchberger_calls_on_the_shipped_problems(monkeypatch, name, calls):
     # verify's rho_upper call: the candidate IdealData, the J <= I checks and
@@ -207,11 +208,99 @@ def test_rho_upper_values():
     bound = rho_upper(I, N, n_max=3)
     assert bound.value == 1
     assert bound.certificate.found
-    assert not bound.truncated
     assert bound.label == "upper bound"
     # n = 0 is the first horizon at which I certifies itself
     with pytest.raises(ValueError):
         rho_upper(I, N, n_max=-1)
+
+
+def _power_set_rho(I, N, n_max=3):
+    """The former rho_upper, kept as a reference: every subset of the
+    minimal generators of I and I itself, sorted by (d(J), size); the first
+    certified one gives the bound."""
+    b = len(I.generators)
+    pool = [
+        IdealData(I.ring, [I.generators[t] for t in pick])
+        for size in range(b + 1)
+        for pick in combinations(range(b), size)
+    ]
+    pool.append(I)
+    pool.sort(key=lambda J: (J.d1(), len(J.generators)))
+    for J in pool:
+        if is_reduction(J, I, N, n_max).found:
+            return J.d1()
+
+
+def _random_monomial(rng, Q, degree):
+    exps = [0] * Q.nvars
+    for _ in range(degree):
+        exps[rng.randrange(Q.nvars)] += 1
+    return Q.from_terms({tuple(exps): 1})
+
+
+def test_rho_upper_matches_the_power_set_search(seed):
+    # one J_t per generator degree gives the value every subset would: a
+    # reducing subset of degree <= t lies in J_t, which then reduces too
+    rng = random.Random(seed)
+    Q3 = PolyRing(3, GF32003)
+    # (x1) reduces (x1, x2^2, x2*x3, x3^2) on Q/(x2, x3): J_1 wins, not I
+    cases = [
+        (
+            IdealData(Q3, [Q3.poly(p) for p in ("x1", "x2^2", "x2*x3", "x3^2")]),
+            cyclic_quotient(Q3, ["x2", "x3"]),
+        )
+    ]
+    for setup in (
+        hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup
+    ):
+        A = setup()[0]
+        for _ in range(8):
+            gens = [random_poly(rng, A, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            cases.append((IdealData(A, gens), random_presentation(rng, A, max_deg=2)))
+    Q4 = PolyRing(4, GF32003)
+    for _ in range(20):
+        gens = [_random_monomial(rng, Q4, rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        I = IdealData(Q4, gens)
+        cases.append((I, free_presentation(Q4, (0,))))
+        cases.append((I, cyclic_quotient(Q4, [f"x{rng.randint(1, 4)}"])))
+    values = []
+    for I, N in cases:
+        value = rho_upper(I, N).value
+        assert value == _power_set_rho(I, N)
+        values.append(value)
+    assert 0 < values[0] < cases[0][0].d1()
+
+
+def test_rho_upper_finds_a_reduction_among_nine_generators():
+    # I = (x1, eight quadrics in x2..x5) on N = Q/(x2..x5): the quadrics
+    # kill N, so (x1) N = I N and (x1) is a reduction at n = 0
+    Q = PolyRing(5, GF32003)
+    quadrics = [Q.poly(f"x{a}*x{b}") for a, b in combinations_with_replacement(range(2, 6), 2)]
+    I = IdealData(Q, [Q.poly("x1")] + quadrics[:8])
+    assert len(I.generators) == 9
+    bound = rho_upper(I, cyclic_quotient(Q, ["x2", "x3", "x4", "x5"]))
+    assert bound.value == 1
+    assert bound.certificate.witness == 0
+
+
+def test_rho_upper_reduction_tests_per_generator_degree(monkeypatch):
+    # eight quadrics over K[x1..x4] on N = Q: one reduction test per pool
+    # ideal (the zero ideal, I and one J_t per lower degree), not one per
+    # subset of the generators
+    Q = PolyRing(4, GF32003)
+    quadrics = [Q.poly(f"x{a}*x{b}") for a, b in combinations_with_replacement(range(1, 5), 2)]
+    I = IdealData(Q, quadrics[:8])
+    calls = []
+    inner = cmreg.rees.is_reduction
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cmreg.rees, "is_reduction", counting)
+    bound = rho_upper(I, free_presentation(Q, (0,)))
+    assert bound.value == 2
+    assert len(calls) <= len(set(I.degrees)) + 2
 
 
 def test_rho_upper_principal_higher_degree():

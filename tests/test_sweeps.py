@@ -212,10 +212,10 @@ def _verify_argv(name, path, out):
 
 #: (problem, ext calls, regularity calls, QuotientRing.normal_form calls)
 CALL_COUNTS = [
-    ("hypersurface", 3, 3, 35),
-    ("two_relation", 3, 3, 31),
-    ("reduced_hypersurface", 54, 11, 191),
-    ("ci3", 20, 8, 240),
+    ("hypersurface", 3, 3, 34),
+    ("two_relation", 3, 3, 30),
+    ("reduced_hypersurface", 54, 11, 190),
+    ("ci3", 20, 8, 222),
 ]
 
 
