@@ -41,35 +41,33 @@ for n in range(5):
     print(f"{n}   {rp!s:>9}   {rq!s:>11}")
 assert power_module(I, 0, N) is N
 
-# -- reduction certificates ----------------------------------------------
+# -- reduction tests -----------------------------------------------------
 
-# is_reduction(J, I, N, n_max) searches for the stabilization exponent
-# and returns a certificate carrying the witness n; J must sit inside I
-# or the precondition check raises.
-cert = is_reduction(I, I, N, n_max=3)
+# is_reduction(J, I, N, n_max) returns the stabilization exponent: the
+# least n <= n_max with I^{n+1} N = J I^n N.  J must sit inside I or the
+# precondition check raises.
 print()
-print("I is a reduction of itself:", cert.found, " witness n =", cert.witness)
+print("I is a reduction of itself from n =", is_reduction(I, I, N, n_max=3))
 
-# The zero ideal never stabilizes against I on this N; the certificate
-# records the failure as inconclusive rather than a disproof.
-cert0 = is_reduction(IdealData(A, []), I, N, n_max=3)
-print(f"0 is a reduction of I: {cert0.found}  (searched up to n = {cert0.n_max})")
+# The zero ideal never stabilizes against I on this N; None records the
+# failure as inconclusive rather than a disproof.
+n0 = is_reduction(IdealData(A, []), I, N, n_max=3)
+print("0 is a reduction of I from n =", n0, " (searched up to n = 3)")
 
 # -- certified upper bounds for rho --------------------------------------
 
 # rho_upper tries the zero ideal, one ideal J_t per generator degree t of I
 # (its minimal generators of degree <= t; the top one is I), plus any
-# explicit candidates, keeps the certified reductions, and reports the
-# smallest generator degree d(J) among them.  A subset of the generators
-# that is a reduction lies in some J_t of the same d, which is one too.
-bound = rho_upper(I, N, n_max=3)
+# explicit candidates, and returns the first certified reduction J in
+# order of d(J) with its exponent n; d(J) is the upper bound.  A subset of
+# the generators that is a reduction lies in some J_t of the same d, which
+# is one too.
+J, n = rho_upper(I, N, n_max=3)
 print()
-print("rho upper bound:", bound.value, f"({bound.label})")
-print("witness ideal generators:", [str(p) for p in bound.witness.generators])
-print("certificate: found =", bound.certificate.found,
-      " stable from n =", bound.certificate.witness)
-print("d(witness) =", bound.witness.d1())
+print("rho upper bound:", J.d1())
+print("witness ideal generators:", [str(p) for p in J.generators])
+print("stable from n =", n)
 
 # For the unit ideal every power module is N itself, so the bound is 0.
 print()
-print("rho upper bound for I = A:", rho_upper(unit_ideal(A), N).value)
+print("rho upper bound for I = A:", rho_upper(unit_ideal(A), N)[0].d1())

@@ -207,14 +207,11 @@ def cmd_rho(args):
     N = pf.module(args.module)
     I = pf.ideal(args.ideal)
     degree_cap = _setting(args, pf.params, "degree_cap", DEFAULT_DEGREE_CAP)
-    bound = rho_upper(
+    J, n = rho_upper(
         I, N, candidates=_candidate_ideals(pf),
         n_max=args.nmax, degree_cap=degree_cap,
     )
-    lines = [
-        f"rho {bound.label}: {bound.value}",
-        f"witness {bound.witness!r} stable from n={bound.certificate.witness}",
-    ]
+    lines = [f"rho upper bound: {J.d1()}", f"witness {J!r} stable from n={n}"]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -289,8 +286,8 @@ def cmd_verify(args):
     f = T.metadata["f"]
     rho_value = args.rho
     if rho_value is None:
-        candidates = _candidate_ideals(pf)
-        rho_value = rho_upper(I, N, candidates=candidates, degree_cap=degree_cap).value
+        J, _ = rho_upper(I, N, candidates=_candidate_ideals(pf), degree_cap=degree_cap)
+        rho_value = J.d1()
     report = verify_bounds(T, rho_value, f, const=args.const)
     payload = _table_json(T, rho_value)
     payload["report"] = {

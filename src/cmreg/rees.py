@@ -1,4 +1,4 @@
-"""Ideal powers acting on modules, reduction certificates, d(J), and a
+"""Ideal powers acting on modules, the reduction test, d(J), and a
 certified upper bound for the reduction-degree invariant rho_N(I).
 
 rho_N(I) is the least d(J) over homogeneous ideals J <= I with
@@ -97,61 +97,41 @@ def quotient_module(
     return quotient_by(N, _power_products(I, n), N.ring)
 
 
-class ReductionCertificate:
-    """Witness that I^{n0+1} N = J I^{n0} N, or the absence of one below
-    n_max (inconclusive, not a disproof)."""
-
-    def __init__(self, ideal: IdealData, witness, n_max: int):
-        self.ideal = ideal
-        self.witness = witness  # int or None
-        self.n_max = n_max
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
 def is_reduction(
     J: IdealData,
     I: IdealData,
     N: ModulePresentation,
     n_max: int,
     degree_cap=DEFAULT_DEGREE_CAP,
-) -> ReductionCertificate:
-    """Smallest n <= n_max with I^{n+1}N = J I^n N, as a certificate."""
-    ring = I.ring
-    F1 = GradedFreeModule(ring, (0,))
-    if I.generators:
+) -> int | None:
+    """Least n <= n_max with I^{n+1}N = J I^n N, or None when there is none
+    below n_max (inconclusive, not a disproof).
+
+    J must lie in I.  A J whose minimal generators are among I's does by
+    construction (the zero ideal, each J_t); any other is checked against a
+    Groebner basis of I.  A J that also has all of I's generators is I and
+    certifies at n = 0.  Otherwise J <= I gives J I^n N <= I^{n+1} N, so
+    one containment decides each n.
+    """
+    own = set(I.generators)
+    if not own.issuperset(J.generators):
+        F1 = GradedFreeModule(I.ring, (0,))
         gbI = submodule_gb([(g,) for g in I.generators], F1, cap=degree_cap)
-        for g in J.generators:
-            if not submodule_contains(gbI, (g,)):
-                raise ReductionPreconditionError(
-                    "candidate ideal is not contained in I"
-                )
-    elif J.generators:
-        raise ReductionPreconditionError("candidate ideal is not contained in I")
+        if not all(submodule_contains(gbI, (g,)) for g in J.generators):
+            raise ReductionPreconditionError("candidate ideal is not contained in I")
+    if own.issubset(J.generators):
+        return 0
     F = N.cover
     psi = N.relations.columns()
     prods = _power_products(I, 0)
     for n in range(n_max + 1):
-        jin = [yj * p for yj in J.generators for p in prods]
+        if n == 0 or not J.is_zero:  # J = 0 spans only psi, at every n
+            jin = [yj * p for yj in J.generators for p in prods]
+            gb = submodule_gb(scaled_basis(F, jin) + psi, F, cap=degree_cap)
         prods = _power_products(I, n + 1)
-        # J <= I gives J I^n N <= I^{n+1} N, so one containment decides
-        gb = submodule_gb(scaled_basis(F, jin) + psi, F, cap=degree_cap)
         if all(submodule_contains(gb, v) for v in scaled_basis(F, prods)):
-            return ReductionCertificate(J, n, n_max)
-    return ReductionCertificate(J, None, n_max)
-
-
-class RhoBound:
-    """Certified upper bound for rho_N(I); never an exact claim."""
-
-    label = "upper bound"
-
-    def __init__(self, value: int, witness: IdealData, certificate: ReductionCertificate):
-        self.value = value
-        self.witness = witness
-        self.certificate = certificate
+            return n
+    return None
 
 
 def rho_upper(
@@ -160,8 +140,9 @@ def rho_upper(
     candidates=(),
     n_max: int = 3,
     degree_cap=DEFAULT_DEGREE_CAP,
-) -> RhoBound:
-    """min d(J) over candidate ideals certified as N-reductions of I.
+) -> tuple[IdealData, int]:
+    """The candidate N-reduction J of least d(J) and its exponent n, so
+    I^{n+1}N = J I^n N and J.d1() is a certified upper bound for rho_N(I).
 
     The candidates are the zero ideal, J_t = (the minimal generators of I
     of degree <= t) for each generator degree t of I, and the caller's
@@ -181,6 +162,6 @@ def rho_upper(
     pool.append(I)
     pool.sort(key=lambda J: (J.d1(), len(J.generators)))
     for J in pool:  # least d(J) first, and I itself certifies at n = 0
-        cert = is_reduction(J, I, N, n_max, degree_cap)
-        if cert.found:
-            return RhoBound(J.d1(), J, cert)
+        n = is_reduction(J, I, N, n_max, degree_cap)
+        if n is not None:
+            return J, n

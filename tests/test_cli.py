@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import PROBLEMS
 from test_cli_options_read import ARGV, GRID, PROBLEM, TRIGRADED
 
 import cmreg.cli as cli
@@ -138,8 +139,24 @@ def test_rho_command(tmp_path, capsys):
     prob = _write(tmp_path, "red.prob", REDUCED)
     assert main(["rho", prob, "--module", "N", "--ideal", "I"]) == 0
     out = capsys.readouterr().out
-    assert "rho upper bound: 1" in out
-    assert "stable from n=" in out
+    assert out == "rho upper bound: 1\nwitness Ideal(degrees=[1]) stable from n=0\n"
+
+
+#: problem -> the whole `cmreg rho --module N --ideal I` output
+RHO_OUTPUTS = {
+    "hypersurface": "rho upper bound: 0\nwitness Ideal(unit) stable from n=0\n",
+    "two_relation": "rho upper bound: 0\nwitness Ideal(unit) stable from n=0\n",
+    "reduced_hypersurface": "rho upper bound: 1\nwitness Ideal(degrees=[1]) stable from n=0\n",
+    "ci3": "rho upper bound: 1\nwitness Ideal(degrees=[1, 1]) stable from n=0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHO_OUTPUTS))
+def test_rho_output_on_the_shipped_problems(capsys, name):
+    prob = str(PROBLEMS / f"{name}.prob")
+    assert main(["rho", prob, "--module", "N", "--ideal", "I"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (RHO_OUTPUTS[name], "")
 
 
 def test_atomic_write_concurrent_writers(tmp_path):

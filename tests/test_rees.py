@@ -17,6 +17,7 @@ from helpers import (
     reduced_hypersurface_setup,
     two_relation_setup,
 )
+from reference_pieces import span_matrix
 from cmreg.errors import ReductionPreconditionError
 from cmreg.fields import GF32003
 from cmreg.freemod import (
@@ -24,9 +25,11 @@ from cmreg.freemod import (
     GradedFreeModule,
     free_presentation,
     scaled_basis,
+    vec_degree,
     vec_is_zero,
 )
 from cmreg.groebner import submodule_contains, submodule_equal, submodule_gb
+from cmreg.linalg import rank
 from cmreg.rees import (
     IdealData,
     is_reduction,
@@ -104,12 +107,9 @@ def test_improper_matches_membership_of_one():
 def test_is_reduction_and_certificate():
     A, M, N, I = _setup66()
     # I is a reduction of itself with witness 0
-    cert = is_reduction(I, I, N, n_max=2)
-    assert cert.found and cert.witness == 0
+    assert is_reduction(I, I, N, n_max=2) == 0
     # the zero ideal is not a reduction of (x) on N = (x)
-    zero = IdealData(A, [])
-    cert = is_reduction(zero, I, N, n_max=3)
-    assert not cert.found
+    assert is_reduction(IdealData(A, []), I, N, n_max=3) is None
     # a candidate not inside I is rejected outright
     J = IdealData(A, [A.poly("x2")])
     with pytest.raises(ReductionPreconditionError):
@@ -138,6 +138,59 @@ def _two_sided_witness(J, I, N, n_max):
         if submodule_equal(lhs, scaled_basis(F, jin) + psi, F):
             return n
     return None
+
+
+def _rank_witness(J, I, N, n_max):
+    """Least n <= n_max with I^{n+1}N <= J I^n N, by linear algebra alone:
+    in each degree s of a generator of I^{n+1}N, the span of J I^n N's
+    generators and N's relations has the rank it has with I^{n+1}N's
+    generators added; None if there is none."""
+    F = N.cover
+    field = F.base.field
+    psi = [c for c in N.relations.columns() if not vec_is_zero(c)]
+    for n in range(n_max + 1):
+        top = [v for v in scaled_basis(F, _power_products(I, n + 1)) if not vec_is_zero(v)]
+        jin = scaled_basis(F, [y * p for y in J.generators for p in _power_products(I, n)])
+        if all(
+            rank(span_matrix(F, jin + psi, s), field)
+            == rank(span_matrix(F, jin + psi + top, s), field)
+            for s in {vec_degree(F, v) for v in top}
+        ):
+            return n
+    return None
+
+
+def test_is_reduction_matches_linear_algebra():
+    # rho_upper's pool on the shipped problems (the zero ideal, each J_t,
+    # the candidates and I), a J_t that wins over I, a J that never reduces,
+    # and I^2 = J I with J = (x1^2, x2^2), I = (x1, x2)^2; J <= I holds in
+    # every case, so the one containment decides equality
+    cases = []
+    for name in ("hypersurface", "two_relation", "reduced_hypersurface", "ci3"):
+        pf = problem_file(name)
+        I, N = pf.ideal("I"), pf.module("N")
+        pool = [IdealData(I.ring, [])]
+        for t in sorted(set(I.degrees))[:-1]:
+            pool.append(IdealData(I.ring, [g for g in I.generators if g.degree <= t]))
+        pool += [pf.ideal(c) for c in pf.params.get("candidates", ())] + [I]
+        cases += [(J, I, N) for J in pool]
+    Q3 = PolyRing(3, GF32003)
+    I = IdealData(Q3, [Q3.poly(p) for p in ("x1", "x2^2", "x2*x3", "x3^2")])
+    N = cyclic_quotient(Q3, ["x2", "x3"])
+    cases += [(IdealData(Q3, []), I, N), (IdealData(Q3, [Q3.poly("x1")]), I, N), (I, I, N)]
+    # (x1^2) is no reduction of (x1^2, x1*x2), though I^2 <= (x1^2)
+    Q2 = PolyRing(2, GF32003)
+    Q2free = free_presentation(Q2, (0,))
+    I = IdealData(Q2, [Q2.poly("x1^2"), Q2.poly("x1*x2")])
+    cases.append((IdealData(Q2, [Q2.poly("x1^2")]), I, Q2free))
+    cases.append((
+        IdealData(Q2, [Q2.poly("x1^2"), Q2.poly("x2^2")]),
+        IdealData(Q2, [Q2.poly("x1^2"), Q2.poly("x1*x2"), Q2.poly("x2^2")]),
+        Q2free,
+    ))
+    witnesses = [is_reduction(J, I, N, n_max=3) for J, I, N in cases]
+    assert witnesses == [_rank_witness(J, I, N, 3) for J, I, N in cases]
+    assert witnesses[-2:] == [None, 1] and 0 in witnesses
 
 
 def test_is_reduction_matches_the_two_sided_check(seed):
@@ -169,46 +222,104 @@ def test_is_reduction_matches_the_two_sided_check(seed):
             )
     witnesses = []
     for J, I, N in cases:
-        cert = is_reduction(J, I, N, n_max=2)
-        assert cert.witness == _two_sided_witness(J, I, N, 2)
-        witnesses.append(cert.witness)
+        witness = is_reduction(J, I, N, n_max=2)
+        assert witness == _two_sided_witness(J, I, N, 2)
+        witnesses.append(witness)
     assert witnesses[0] == 1
     assert {None, 0} <= set(witnesses)
 
 
-@pytest.mark.parametrize(
-    "name, calls",
-    [("hypersurface", 7), ("two_relation", 7), ("reduced_hypersurface", 7), ("ci3", 7)],
-)
-def test_rho_upper_buchberger_calls_on_the_shipped_problems(monkeypatch, name, calls):
-    # verify's rho_upper call: the candidate IdealData, the J <= I checks and
-    # one basis of J I^n N per reduction test, none of I^{n+1} N
-    pf = problem_file(name)
-    count = []
+def _buchberger_inputs(monkeypatch):
+    """The gens list of every groebner.buchberger run from here on."""
+    inputs = []
     inner = cmreg.groebner.buchberger
 
-    def counting(*args, **kwargs):
-        count.append(1)
-        return inner(*args, **kwargs)
+    def recording(gens, *args, **kwargs):
+        inputs.append(list(gens))
+        return inner(gens, *args, **kwargs)
 
+    monkeypatch.setattr(cmreg.groebner, "buchberger", recording)
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("hypersurface", 1), ("two_relation", 1), ("reduced_hypersurface", 1), ("ci3", 1)],
+)
+def test_rho_upper_buchberger_calls_on_the_shipped_problems(monkeypatch, name, calls):
+    # verify's rho_upper call: one basis of N's relations for the zero
+    # ideal, shared by every n; I and the candidate equal to it certify at
+    # n = 0 from their generators, and no J <= I check needs a basis of I
+    pf = problem_file(name)
     candidates = [pf.ideal(c) for c in pf.params.get("candidates", ())]
-    monkeypatch.setattr(cmreg.groebner, "buchberger", counting)
+    inputs = _buchberger_inputs(monkeypatch)
     rho_upper(pf.ideal("I"), pf.module("N"), candidates=candidates)
-    assert len(count) == calls
+    assert len(inputs) == calls
+
+
+def test_is_reduction_of_the_zero_ideal_builds_one_basis(monkeypatch):
+    # J = 0 makes J I^n N = 0, so the basis of N's relations serves every n
+    # (the zero ideal is no reduction of (x) on N = (x): all four n run)
+    A, M, N, I = _setup66()
+    zero = IdealData(A, [])
+    inputs = _buchberger_inputs(monkeypatch)
+    witness = is_reduction(zero, I, N, n_max=3)
+    assert len(inputs) == 1
+    assert witness is None
+
+
+def test_is_reduction_of_a_subset_builds_no_basis_of_I(monkeypatch):
+    # J = (x1^2, x2^2) is made of I's own generators, so J <= I needs no
+    # basis of I = (x1, x2)^2: one basis of J I^n N for n = 0, 1 and no other
+    Q = PolyRing(2, GF32003)
+    I = IdealData(Q, [Q.poly("x1^2"), Q.poly("x1*x2"), Q.poly("x2^2")])
+    J = IdealData(Q, [Q.poly("x1^2"), Q.poly("x2^2")])
+    inputs = _buchberger_inputs(monkeypatch)
+    witness = is_reduction(J, I, free_presentation(Q, (0,)), n_max=3)
+    basis_of_I = [(g,) for g in I.generators]
+    assert not any(all(v in gens for v in basis_of_I) for gens in inputs)
+    assert len(inputs) == 2
+    assert witness == 1
+
+
+def test_is_reduction_of_I_by_itself_builds_no_basis(monkeypatch):
+    # I and a separate IdealData of the same generators: J = I at n = 0
+    cases = []
+    for setup in (
+        hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup
+    ):
+        A, M, N, I = setup()
+        cases += [(I, I, N), (IdealData(A, list(I.generators)), I, N)]
+    inputs = _buchberger_inputs(monkeypatch)
+    witnesses = [is_reduction(J, I, N, n_max=3) for J, I, N in cases]
+    assert inputs == []
+    assert witnesses == [0] * len(cases)
+
+
+def test_rho_upper_raises_on_a_candidate_outside_I():
+    # (x1) sorts between the zero ideal, which fails on N = Q, and I, so
+    # rho_upper reaches it and its J <= I check runs on a basis of I
+    Q = PolyRing(2, GF32003)
+    I = IdealData(Q, [Q.poly("x1^2"), Q.poly("x2^3")])
+    N = free_presentation(Q, (0,))
+    with pytest.raises(ReductionPreconditionError):
+        rho_upper(I, N, candidates=[IdealData(Q, [Q.poly("x1")])])
+    # all of I's generators and one more outside I is no way round the check
+    J = IdealData(Q, [Q.poly("x1^2"), Q.poly("x2^3"), Q.poly("x1*x2")])
+    with pytest.raises(ReductionPreconditionError):
+        is_reduction(J, I, N, n_max=1)
 
 
 def test_rho_upper_values():
     # the unit ideal is improper, I^n N = N for all n, and it is its own
     # best reduction with d = 0
     A, M, N, I = hypersurface_setup()
-    bound = rho_upper(I, N)
-    assert bound.value == 0
+    J, n = rho_upper(I, N)
+    assert (J.d1(), n) == (0, 0)
     # principal ideal (x) on N = (x): rho upper bound is d((x)) = 1
     A, M, N, I = _setup66()
-    bound = rho_upper(I, N, n_max=3)
-    assert bound.value == 1
-    assert bound.certificate.found
-    assert bound.label == "upper bound"
+    J, n = rho_upper(I, N, n_max=3)
+    assert (J.d1(), n) == (1, 0)
     # n = 0 is the first horizon at which I certifies itself
     with pytest.raises(ValueError):
         rho_upper(I, N, n_max=-1)
@@ -227,7 +338,7 @@ def _power_set_rho(I, N, n_max=3):
     pool.append(I)
     pool.sort(key=lambda J: (J.d1(), len(J.generators)))
     for J in pool:
-        if is_reduction(J, I, N, n_max).found:
+        if is_reduction(J, I, N, n_max) is not None:
             return J.d1()
 
 
@@ -265,7 +376,7 @@ def test_rho_upper_matches_the_power_set_search(seed):
         cases.append((I, cyclic_quotient(Q4, [f"x{rng.randint(1, 4)}"])))
     values = []
     for I, N in cases:
-        value = rho_upper(I, N).value
+        value = rho_upper(I, N)[0].d1()
         assert value == _power_set_rho(I, N)
         values.append(value)
     assert 0 < values[0] < cases[0][0].d1()
@@ -278,9 +389,8 @@ def test_rho_upper_finds_a_reduction_among_nine_generators():
     quadrics = [Q.poly(f"x{a}*x{b}") for a, b in combinations_with_replacement(range(2, 6), 2)]
     I = IdealData(Q, [Q.poly("x1")] + quadrics[:8])
     assert len(I.generators) == 9
-    bound = rho_upper(I, cyclic_quotient(Q, ["x2", "x3", "x4", "x5"]))
-    assert bound.value == 1
-    assert bound.certificate.witness == 0
+    J, n = rho_upper(I, cyclic_quotient(Q, ["x2", "x3", "x4", "x5"]))
+    assert (J.d1(), n) == (1, 0)
 
 
 def test_rho_upper_reduction_tests_per_generator_degree(monkeypatch):
@@ -298,8 +408,8 @@ def test_rho_upper_reduction_tests_per_generator_degree(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(cmreg.rees, "is_reduction", counting)
-    bound = rho_upper(I, free_presentation(Q, (0,)))
-    assert bound.value == 2
+    J, _ = rho_upper(I, free_presentation(Q, (0,)))
+    assert J.d1() == 2
     assert len(calls) <= len(set(I.degrees)) + 2
 
 
@@ -308,9 +418,8 @@ def test_rho_upper_principal_higher_degree():
     Q = PolyRing(1, GF32003)
     N = free_presentation(Q, (0,))
     I = IdealData(Q, [Q.poly("x1^2")])
-    bound = rho_upper(I, N, n_max=2)
-    assert bound.value == 2
-    assert bound.witness.d1() == 2
+    J, n = rho_upper(I, N, n_max=2)
+    assert J.generators == I.generators and n == 0
 
 
 def test_d1_conventions():
