@@ -23,7 +23,7 @@ from cmreg.groebner import (
     submodule_contains,
     submodule_gb,
 )
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 # -- exact fields --------------------------------------------------------
 
@@ -54,10 +54,10 @@ except Exception as e:
 
 # -- quotient rings ------------------------------------------------------
 
-# QuotientRing(Q, zs) is A = Q/(zs) for a homogeneous regular sequence.
+# Q.quotient(zs) is A = Q/(zs) for a homogeneous regular sequence.
 # Arithmetic happens in the base ring; normal_form against a Groebner
 # basis of (zs) picks the canonical representative of a coset.
-A = QuotientRing(Q, [Q.poly("x1*x2")])
+A = Q.quotient([Q.poly("x1*x2")])
 x, y = A.poly("x1"), A.poly("x2")
 print()
 print("in K[x,y]/(xy):  NF(x * y) =", A.normal_form(x * y))

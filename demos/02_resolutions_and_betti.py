@@ -11,7 +11,7 @@ degree.  This script builds both kinds and reads off Betti tables.
 from cmreg.fields import GF32003
 from cmreg.freemod import cyclic_presentation
 from cmreg.resolution import betti_table, minimize, resolve_over_A, resolve_over_Q
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 # -- the Koszul complex, recovered by the syzygy machine -----------------
 
@@ -55,7 +55,7 @@ print("Betti table after minimization:", betti_table(Rmin).to_dict()["entries"])
 # cap says how far to compute; complete=False records that the resolution
 # keeps going past the cap.
 Q1 = PolyRing(1, GF32003)
-A = QuotientRing(Q1, [Q1.poly("x1^2")])
+A = Q1.quotient([Q1.poly("x1^2")])
 k = cyclic_presentation(A, [A.poly("x1")])
 RA = resolve_over_A(k, cap=6)
 print()

@@ -15,7 +15,7 @@ from cmreg.fields import GF32003
 from cmreg.freemod import NEG_INF, cyclic_presentation, free_presentation
 from cmreg.regularity import betti_oracle, present_over_Q, regularity
 from cmreg.resolution import betti_table, resolve_over_Q
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 Q = PolyRing(2, GF32003)
 
@@ -38,7 +38,7 @@ print("reg M(2) =", regularity(M.shift(2)), "  (shift law: drops by 2)")
 
 # present_over_Q rewrites an A-module presentation over the base ring by
 # adding one relation z_j * e_k per defining equation and generator.
-A = QuotientRing(Q, [Q.poly("x1*x2")])
+A = Q.quotient([Q.poly("x1*x2")])
 NA = cyclic_presentation(A, [A.poly("x1")])
 NQ = present_over_Q(NA)
 print()

@@ -15,7 +15,7 @@ from cmreg.freemod import NEG_INF, cyclic_presentation
 from cmreg.groebner import presentation_is_zero
 from cmreg.regularity import regularity
 from cmreg.resolution import resolve_over_A
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 
 def reg_of(E):
@@ -25,7 +25,7 @@ def reg_of(E):
 # -- self-Ext of the residue field over K[x]/(x^2) ------------------------
 
 Q1 = PolyRing(1, GF32003)
-A1 = QuotientRing(Q1, [Q1.poly("x1^2")])
+A1 = Q1.quotient([Q1.poly("x1^2")])
 k1 = cyclic_presentation(A1, [A1.poly("x1")])
 R1 = resolve_over_A(k1, cap=9)
 print("A = K[x]/(x^2), M = N = A/(x)")
@@ -41,7 +41,7 @@ print("  pattern: reg Ext^i = -i, one step down per index")
 # twists 0, 1, 3, 4, 6, 7, ... and the Ext regularities move by -3 per
 # double step: reg Ext^{2i} = -3i + 1, reg Ext^{2i+1} = -3i.
 Q2 = PolyRing(2, GF32003)
-A2 = QuotientRing(Q2, [Q2.poly("x1^2"), Q2.poly("x2^3")])
+A2 = Q2.quotient([Q2.poly("x1^2"), Q2.poly("x2^3")])
 M2 = cyclic_presentation(A2, [A2.poly("x2")])
 R2 = resolve_over_A(M2, cap=7)
 print()
@@ -68,7 +68,7 @@ for i in range(3):
 # sits in degree 1), the odd Tor modules are zero: the presentation
 # machinery returns a module whose generators all lie in the boundaries.
 Qr = PolyRing(2, GF32003)
-Ar = QuotientRing(Qr, [Qr.poly("x1*x2")])
+Ar = Qr.quotient([Qr.poly("x1*x2")])
 Mr = cyclic_presentation(Ar, [Ar.poly("x1")])
 Nr = cyclic_presentation(Ar, [Ar.poly("x2")]).shift(-1)
 Rr = resolve_over_A(Mr, cap=8)

@@ -21,11 +21,11 @@ from cmreg.rees import (
     unit_ideal,
 )
 from cmreg.regularity import regularity
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 # The running example: A = K[x,y]/(xy), N = (A/(y))(-1), I = (x).
 Q = PolyRing(2, GF32003)
-A = QuotientRing(Q, [Q.poly("x1*x2")])
+A = Q.quotient([Q.poly("x1*x2")])
 N = cyclic_presentation(A, [A.poly("x2")]).shift(-1)
 I = IdealData(A, [A.poly("x1")])
 

@@ -15,11 +15,11 @@ from cmreg.ext_tor import ext
 from cmreg.fields import GF32003
 from cmreg.freemod import cyclic_presentation
 from cmreg.resolution import resolve_over_A
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 # A = K[x,y]/(x^2, y^3), M = A/(y): codimension two, so two operators.
 Q = PolyRing(2, GF32003)
-A = QuotientRing(Q, [Q.poly("x1^2"), Q.poly("x2^3")])
+A = Q.quotient([Q.poly("x1^2"), Q.poly("x2^3")])
 M = cyclic_presentation(A, [A.poly("x2")])
 R = resolve_over_A(M, cap=8)
 

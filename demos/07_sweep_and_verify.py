@@ -13,12 +13,12 @@ the bound is tight.
 from cmreg.fields import GF32003
 from cmreg.freemod import cyclic_presentation
 from cmreg.rees import IdealData
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 from cmreg.sweeps import fit_sequence, reg_to_text, sweep, verify_bounds
 
 # A = K[x,y]/(xy), M = A/(x), N = (A/(y))(-1) = the ideal (x), I = (x).
 Q = PolyRing(2, GF32003)
-A = QuotientRing(Q, [Q.poly("x1*x2")])
+A = Q.quotient([Q.poly("x1*x2")])
 M = cyclic_presentation(A, [A.poly("x1")])
 N = cyclic_presentation(A, [A.poly("x2")]).shift(-1)
 I = IdealData(A, [A.poly("x1")])

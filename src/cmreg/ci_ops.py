@@ -39,7 +39,6 @@ from .groebner import (
     submodule_gb,
 )
 from .resolution import FreeResolution
-from .rings import QuotientRing
 
 
 def lift_resolution(R: FreeResolution) -> FreeResolution:
@@ -47,7 +46,7 @@ def lift_resolution(R: FreeResolution) -> FreeResolution:
     Q = A's base, with the same twists.  d~ o d~ lies in (z) but need not
     vanish, so the result is usually not a complex."""
     ring = R.ring
-    if not isinstance(ring, QuotientRing):
+    if not ring.relations:
         raise ValueError("lifting expects a resolution over a quotient ring")
     Q = ring.base
     modules = [GradedFreeModule(Q, F.twists) for F in R.modules]

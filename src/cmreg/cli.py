@@ -37,7 +37,6 @@ from .errors import (
     ProblemSyntaxError,
 )
 from .ext_tor import ext, tor
-from .freemod import NEG_INF
 from .groebner import DEFAULT_DEGREE_CAP
 from .problemfile import parse_problem
 from .rees import rho_upper
@@ -240,11 +239,11 @@ def _table_csv(T) -> str:
 
 
 def _cell_json(value):
-    if value == NEG_INF:
-        return "-inf"
-    if isinstance(value, str):
-        return value
-    return int(value)
+    """A finite cell or constant as a JSON integer, any other as its text."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):  # -inf, cap
+        return reg_to_text(value)
 
 
 def _table_json(T, rho_value=None) -> dict:

@@ -38,10 +38,6 @@ class GradedFreeModule:
         """Shift every twist by a (rank unchanged)."""
         return GradedFreeModule(self.ring, tuple(t + a for t in self.twists))
 
-    def twist(self, m: int) -> GradedFreeModule:
-        """The graded twist F(m): F(m)_n = F_{m+n}, i.e. twists drop by m."""
-        return self.shift(-m)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedFreeModule)

@@ -35,7 +35,7 @@ from .freemod import (
     vec_degree,
 )
 from .rees import IdealData, unit_ideal
-from .rings import PolyRing, QuotientRing, TokenStream
+from .rings import PolyRing, TokenStream
 
 #: run-parameter keys accepted on the params line, in canonical print order
 PARAM_KEYS = ("imax", "nmax", "degree_cap", "candidates")
@@ -45,9 +45,10 @@ MAX_VARS = 1000
 
 
 class ProblemFile:
-    """Parsed problem: the ring A, named modules and ideals, run params.
-    The file's d, char and quotient are ring.nvars,
-    ring.field.characteristic and ring.relations."""
+    """Parsed problem: the ring A = Q.quotient(z), named modules and
+    ideals, run params.  The file's d, char and quotient are ring.nvars,
+    ring.field.characteristic and ring.relations; Q is ring.base, and ring
+    itself when the quotient is empty."""
 
     __slots__ = ("ring", "modules", "ideals", "params")
 
@@ -147,7 +148,7 @@ def parse_problem(text: str) -> ProblemFile:
             if ts.peek():
                 quotient = _separated(ts, partial(_entry, ts, base), ";")
                 try:
-                    ring = QuotientRing(base, quotient)
+                    ring = base.quotient(quotient)
                 except ValueError as exc:
                     raise ProblemSemanticError(str(exc), lineno)
         elif word == "module":

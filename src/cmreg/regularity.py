@@ -24,7 +24,6 @@ from .freemod import ModulePresentation, quotient_by
 from .groebner import DEFAULT_DEGREE_CAP
 from .linalg import rank, row_reduce
 from .resolution import BettiTable, betti_table, resolve_over_Q
-from .rings import QuotientRing
 
 #: seed of the linear forms betti_oracle draws; any seed gives a sound
 #: certificate, and the same seed the same window
@@ -35,7 +34,7 @@ def present_over_Q(M: ModulePresentation) -> ModulePresentation:
     """The same graded module, presented over the ambient polynomial ring:
     relations of M plus z_j times each cover basis element."""
     ring = M.ring
-    if not isinstance(ring, QuotientRing):
+    if not ring.relations:
         return M
     return quotient_by(M, ring.relations, ring.base)
 
@@ -76,7 +75,7 @@ class GradedPieces:
 
     def __init__(self, M: ModulePresentation, hi: int):
         ring = M.ring
-        if isinstance(ring, QuotientRing):
+        if ring.relations:
             raise ValueError("GradedPieces expects a presentation over Q")
         self.M = M
         self.ring = ring

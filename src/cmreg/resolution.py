@@ -13,7 +13,6 @@ from __future__ import annotations
 from .errors import InternalConsistencyError
 from .freemod import NEG_INF, GradedFreeModule, GradedMap, ModulePresentation
 from .groebner import DEFAULT_DEGREE_CAP, kernel, minimal_generators
-from .rings import QuotientRing
 
 
 class FreeResolution:
@@ -246,7 +245,7 @@ def resolve_over_Q(
     Both bounds are asserted.
     """
     ring = M.ring
-    if isinstance(ring, QuotientRing):
+    if ring.relations:
         raise ValueError("resolve_over_Q needs a presentation over Q")
     if minimal:
         M = minimal_presentation(M)

@@ -1,6 +1,7 @@
-"""Polynomial rings Q = K[x1..xd], homogeneous polynomials, graded
-quotients A = Q/(z1..zc) by a homogeneous regular sequence, and the token
-stream that reads polynomial and problem-file text.
+"""Graded rings, one type for the polynomial ring Q = K[x1..xd] and its
+quotients A = Q.quotient(z) = Q/(z1..zc) by a homogeneous regular
+sequence; homogeneous polynomials; and the token stream that reads
+polynomial and problem-file text.
 
 Monomials are dense exponent tuples (every variable has degree 1).  A
 polynomial is a sparse dict {exponent tuple: nonzero field element} together
@@ -11,6 +12,7 @@ accepted wherever any degree is expected.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import combinations
 from operator import add
 
@@ -56,15 +58,14 @@ def weak_compositions(total: int, parts: int):
 
 
 class PolyRing:
-    """Standard graded polynomial ring over an exact field, with the
-    degrevlex monomial order.
+    """The standard graded ring K[x1..xd]/(z1..zc) over an exact field, with
+    the degrevlex order: Q = PolyRing(d, field) has no relations, and
+    A = Q.quotient(z) = Q/(z) for a homogeneous regular sequence z.
 
-    Q is also the quotient of Q by the empty sequence, so it answers the
-    QuotientRing interface: no relations, base is Q itself, every
-    polynomial is its own normal form and every monomial is standard.
+    A ring is its nvars, field and relations.  Elements of A are polynomials
+    of base = Q, canonical as normal forms against the Groebner basis of
+    (z), and its standard monomials are those no leading term divides.
     """
-
-    relations = ()
 
     def __init__(self, nvars: int, field=GF32003):
         if nvars < 0:
@@ -73,27 +74,57 @@ class PolyRing:
         self.field = field
         self.order_key = _key_degrevlex
         self.base = self
+        self.relations = ()
+        self.f_degrees = ()
 
-    # -- element constructors -------------------------------------------
+    def quotient(self, relations) -> PolyRing:
+        """This ring modulo further homogeneous elements of base: base/(z)
+        for z this ring's relations followed by the given ones, which must
+        form a regular sequence."""
+        relations = self.relations + tuple(relations)
+        for z in relations:
+            if z.is_zero():
+                raise ValueError("zero element in defining sequence")
+            if z.degree == 0:
+                raise ValueError("unit element in defining sequence")
+            if z.ring != self.base:
+                raise ValueError("defining element from wrong ring")
+        A = PolyRing(self.nvars, self.field)
+        A.base = self.base
+        A.relations = relations
+        A.f_degrees = tuple(sorted(z.degree for z in A.relations))
+        # ht(z) = c iff dim Q/(z) = d - c; for c homogeneous generators in a
+        # polynomial ring this certifies the sequence is regular.  Q/(z) has
+        # the dimension of Q/(lt(z-GB)), a monomial ideal.
+        dim = _monomial_quotient_dimension(A._leading_exponents(), A.nvars)
+        expected = A.nvars - len(A.relations)
+        if dim != expected:
+            raise ValueError(
+                f"defining sequence is not regular: dim Q/(z) = {dim}, "
+                f"expected {expected}"
+            )
+        return A
+
+    # -- element constructors: polynomials of base ----------------------
 
     @property
     def zero(self) -> GradedPoly:
-        return GradedPoly(self, {}, None)
+        return GradedPoly(self.base, {}, None)
 
     @property
     def one(self) -> GradedPoly:
-        return GradedPoly(self, {(0,) * self.nvars: self.field.one}, 0)
+        return GradedPoly(self.base, {(0,) * self.nvars: self.field.one}, 0)
 
     def constant(self, c) -> GradedPoly:
         c = self.field(c)
         if c == self.field.zero:
             return self.zero
-        return GradedPoly(self, {(0,) * self.nvars: c}, 0)
+        return GradedPoly(self.base, {(0,) * self.nvars: c}, 0)
 
     def variable(self, i: int) -> GradedPoly:
         exps = [0] * self.nvars
         exps[i] = 1
-        return GradedPoly(self, {tuple(exps): self.field.one}, 1)
+        return GradedPoly(self.base, {tuple(exps): self.field.one}, 1)
 
     def monomial(self, exps, coeff=1) -> GradedPoly:
         exps = tuple(exps)
@@ -102,7 +133,7 @@ class PolyRing:
         c = self.field(coeff)
         if c == self.field.zero:
             return self.zero
-        return GradedPoly(self, {exps: c}, monomial_degree(exps))
+        return GradedPoly(self.base, {exps: c}, monomial_degree(exps))
 
     def from_terms(self, terms) -> GradedPoly:
         """Build a polynomial from {exps: coeff}, dropping zeros and
@@ -118,12 +149,36 @@ class PolyRing:
         degs = {monomial_degree(e) for e in clean}
         if len(degs) > 1:
             raise HomogeneityError(f"mixed total degrees {sorted(degs)}")
-        return GradedPoly(self, clean, degs.pop())
+        return GradedPoly(self.base, clean, degs.pop())
 
     def poly(self, text: str) -> GradedPoly:
-        return parse_poly(self, text)
+        """The normal form of the polynomial text."""
+        return self.normal_form(parse_poly(self, text))
 
-    # -- monomial enumeration -------------------------------------------
+    # -- normal forms and monomials -------------------------------------
+
+    @cached_property
+    def _relations_gb(self):
+        """The Groebner basis of (z), built on first use."""
+        from .groebner import buchberger
+        from .freemod import GradedFreeModule
+
+        ambient = GradedFreeModule(self.base, (0,))
+        return buchberger([(z,) for z in self.relations], ambient, cap=None)
+
+    def normal_form(self, p: GradedPoly) -> GradedPoly:
+        """Canonical representative of p + (z) in Q."""
+        if not self.relations or p.is_zero():
+            return p
+        from .groebner import normal_form
+
+        return normal_form((p,), self._relations_gb)[0]
+
+    def _leading_exponents(self):
+        """Exponents of the leading terms of the Groebner basis of (z)."""
+        if not self.relations:
+            return []
+        return [e for _, e, _ in self._relations_gb.leading_terms]
 
     def monomials_of_degree(self, s: int):
         """All exponent tuples of total degree s, sorted descending in the
@@ -131,10 +186,16 @@ class PolyRing:
         monos = weak_compositions(s, self.nvars)
         return sorted(monos, key=self.order_key, reverse=True)
 
-    std_monomials_of_degree = monomials_of_degree
+    def is_std_monomial(self, exps) -> bool:
+        return not any(monomial_divides(e, exps) for e in self._leading_exponents())
 
-    def normal_form(self, p: GradedPoly) -> GradedPoly:
-        return p
+    def std_monomials_of_degree(self, s: int):
+        # the leading exponents once per call: each read unpacks the basis
+        lts = self._leading_exponents()
+        return [
+            m for m in self.monomials_of_degree(s)
+            if not any(monomial_divides(e, m) for e in lts)
+        ]
 
     # -- misc -------------------------------------------------------------
 
@@ -146,13 +207,17 @@ class PolyRing:
             isinstance(other, PolyRing)
             and other.nvars == self.nvars
             and other.field == self.field
+            and other.relations == self.relations
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.field))
+        return hash((self.nvars, self.field, self.relations))
 
     def __repr__(self):
-        return f"{self.field}[x1..x{self.nvars}](degrevlex)"
+        text = f"{self.field}[x1..x{self.nvars}](degrevlex)"
+        if not self.relations:
+            return text
+        return f"{text}/({', '.join(repr(z) for z in self.relations)})"
 
 
 class GradedPoly:
@@ -307,106 +372,6 @@ def _monomial_quotient_dimension(monomials, nvars) -> int:
     if not all(supports):
         return 0
     return nvars - next(k for k in range(nvars + 1) if _hit_within(supports, k))
-
-
-class QuotientRing:
-    """A = Q/(z1..zc) for a homogeneous regular sequence z.
-
-    Elements of A are represented by Q-polynomials; canonical representatives
-    are normal forms against the cached Groebner basis of (z).  c = 0 is
-    allowed and makes A a copy of Q.
-    """
-
-    def __init__(self, base: PolyRing, relations):
-        self.base = base
-        rels = []
-        for z in relations:
-            if z.is_zero():
-                raise ValueError("zero element in defining sequence")
-            if z.degree == 0:
-                raise ValueError("unit element in defining sequence")
-            if z.ring != base:
-                raise ValueError("defining element from wrong ring")
-            rels.append(z)
-        self.relations = tuple(rels)
-        self.f_degrees = tuple(sorted(z.degree for z in self.relations))
-        self._zgb = None
-        if self.relations:
-            self._check_regular_sequence()
-
-    def _groebner_of_relations(self):
-        if self._zgb is None:
-            from .groebner import buchberger
-            from .freemod import GradedFreeModule
-
-            ambient = GradedFreeModule(self.base, (0,))
-            gens = [(z,) for z in self.relations]
-            self._zgb = buchberger(gens, ambient, cap=None)
-        return self._zgb
-
-    def normal_form(self, p: GradedPoly) -> GradedPoly:
-        """Canonical representative of p + (z) in Q."""
-        if not self.relations or p.is_zero():
-            return p
-        from .groebner import normal_form
-
-        return normal_form((p,), self._groebner_of_relations())[0]
-
-    def _leading_exponents(self):
-        """Exponents of the leading terms of the Groebner basis of (z)."""
-        if not self.relations:
-            return []
-        return [e for _, e, _ in self._groebner_of_relations().leading_terms]
-
-    def is_std_monomial(self, exps) -> bool:
-        return not any(monomial_divides(e, exps) for e in self._leading_exponents())
-
-    def std_monomials_of_degree(self, s: int):
-        # the leading exponents once per call: each read unpacks the basis
-        lts = self._leading_exponents()
-        return [
-            m for m in self.base.monomials_of_degree(s)
-            if not any(monomial_divides(e, m) for e in lts)
-        ]
-
-    def _check_regular_sequence(self):
-        # ht(z) = c iff dim Q/(z) = d - c; for c homogeneous generators in a
-        # polynomial ring this certifies the sequence is regular.  Q/(z) has
-        # the dimension of Q/(lt(z-GB)), a monomial ideal.
-        dim = _monomial_quotient_dimension(self._leading_exponents(), self.base.nvars)
-        expected = self.base.nvars - len(self.relations)
-        if dim != expected:
-            raise ValueError(
-                f"defining sequence is not regular: dim Q/(z) = {dim}, "
-                f"expected {expected}"
-            )
-
-    def poly(self, text: str) -> GradedPoly:
-        return self.normal_form(parse_poly(self.base, text))
-
-    @property
-    def nvars(self):
-        return self.base.nvars
-
-    @property
-    def field(self):
-        return self.base.field
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientRing)
-            and other.base == self.base
-            and other.relations == self.relations
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.relations))
-
-    def __repr__(self):
-        if not self.relations:
-            return f"{self.base}/()"
-        rels = ", ".join(repr(z) for z in self.relations)
-        return f"{self.base}/({rels})"
 
 
 # -- polynomial text in -------------------------------------------------------

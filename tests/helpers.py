@@ -19,7 +19,7 @@ from cmreg.freemod import (
 )
 from cmreg.problemfile import parse_problem
 from cmreg.rees import IdealData, unit_ideal
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 
 def cyclic_quotient(ring, polys, twist=0):
@@ -38,7 +38,7 @@ def cyclic_quotient(ring, polys, twist=0):
 def hypersurface_setup(field=GF32003):
     """A = K[X]/(X^2), M = N = A/(x), I = A."""
     Q = PolyRing(1, field)
-    A = QuotientRing(Q, [Q.poly("x1^2")])
+    A = Q.quotient([Q.poly("x1^2")])
     M = cyclic_quotient(A, ["x1"])
     return A, M, M, unit_ideal(A)
 
@@ -46,7 +46,7 @@ def hypersurface_setup(field=GF32003):
 def two_relation_setup(field=GF32003):
     """A = K[X,Y]/(X^2, Y^3), M = N = A/(y), I = A."""
     Q = PolyRing(2, field)
-    A = QuotientRing(Q, [Q.poly("x1^2"), Q.poly("x2^3")])
+    A = Q.quotient([Q.poly("x1^2"), Q.poly("x2^3")])
     M = cyclic_quotient(A, ["x2"])
     return A, M, M, unit_ideal(A)
 
@@ -54,7 +54,7 @@ def two_relation_setup(field=GF32003):
 def reduced_hypersurface_setup(field=GF32003):
     """A = K[X,Y]/(XY), M = A/(x), N = (x) = (A/(y))(-1), I = (x)."""
     Q = PolyRing(2, field)
-    A = QuotientRing(Q, [Q.poly("x1*x2")])
+    A = Q.quotient([Q.poly("x1*x2")])
     M = cyclic_quotient(A, ["x1"])
     N = ModulePresentation(
         GradedMap(

@@ -14,7 +14,7 @@ from cmreg.freemod import ModulePresentation
 from cmreg.linalg import echelon, rank, reduce_vector
 from cmreg.regularity import present_over_Q
 from cmreg.resolution import BettiTable
-from cmreg.rings import QuotientRing, monomial_mul
+from cmreg.rings import monomial_mul
 
 
 class GradedPieces:
@@ -28,7 +28,7 @@ class GradedPieces:
 
     def __init__(self, M: ModulePresentation, lo: int, hi: int):
         ring = M.ring
-        if isinstance(ring, QuotientRing):
+        if ring.relations:
             raise ValueError("GradedPieces expects a presentation over Q")
         self.M = M
         self.ring = ring

@@ -13,7 +13,7 @@ from cmreg.fields import field_of_characteristic
 from cmreg.freemod import GradedFreeModule, ModulePresentation, map_from_columns, vec_degree
 from cmreg.problemfile import PARAM_KEYS, ProblemFile
 from cmreg.rees import IdealData, unit_ideal
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -185,7 +185,7 @@ def parse_problem(text: str) -> ProblemFile:
                     quotient.append(_parse_entry(piece, base, lineno))
             if quotient:
                 try:
-                    ring = QuotientRing(base, quotient)
+                    ring = base.quotient(quotient)
                 except ValueError as exc:
                     raise ProblemSemanticError(str(exc), lineno)
             continue

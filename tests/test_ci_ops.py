@@ -20,7 +20,7 @@ from cmreg.ext_tor import ext
 from cmreg.fields import GF32003
 from cmreg.freemod import GradedMap, free_presentation
 from cmreg.resolution import FreeResolution, resolve_over_A
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 
 def _ops(M, cap=6):
@@ -157,8 +157,8 @@ def test_random_modules_where_cofactors_are_not_unique(seed):
     Q2 = PolyRing(2, GF32003)
     Q3 = PolyRing(3, GF32003)
     rings = (
-        QuotientRing(Q2, [Q2.poly("x1^2"), Q2.poly("x2^3")]),
-        QuotientRing(Q3, [Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
+        Q2.quotient([Q2.poly("x1^2"), Q2.poly("x2^3")]),
+        Q3.quotient([Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
     )
     for A in rings:
         rng = random.Random(seed)

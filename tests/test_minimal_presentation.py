@@ -26,7 +26,7 @@ from cmreg.freemod import (
 from cmreg.groebner import minimal_generators
 from cmreg.regularity import betti_oracle, hilbert_function
 from cmreg.resolution import FreeResolution, minimal_presentation, minimize
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 
 def _loop_minimal_presentation(M):
@@ -110,9 +110,9 @@ def _rings():
     return [
         Q2,
         Q3,
-        QuotientRing(Q2, [Q2.poly("x1^2")]),
-        QuotientRing(Q2, [Q2.poly("x1*x2")]),
-        QuotientRing(Q3, [Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
+        Q2.quotient([Q2.poly("x1^2")]),
+        Q2.quotient([Q2.poly("x1*x2")]),
+        Q3.quotient([Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
     ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -38,8 +39,8 @@ from cmreg.rees import (
     rho_upper,
     unit_ideal,
 )
-from cmreg.regularity import regularity
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.regularity import hilbert_function, regularity
+from cmreg.rings import PolyRing
 
 
 def _setup66():
@@ -64,6 +65,40 @@ def test_quotient_module_gold():
         assert regularity(quotient_module(N, I, n)) == n
 
 
+def test_coefficient_modules_match_linear_algebra():
+    # dim (I^n N)_s is the rank of the degree-s span of the degree-n
+    # products of I's generators times N's cover basis, plus N's relations,
+    # less the rank of the relations' span; dim (N / I^n N)_s = dim N_s
+    # less that.  Spans and ranks come from span_matrix, with no Groebner
+    # basis beyond the ring's own (z)
+    for name in ("hypersurface", "two_relation", "reduced_hypersurface", "ci3"):
+        pf = problem_file(name)
+        I, N = pf.ideal("I"), pf.module("N")
+        F, field = N.cover, N.ring.field
+        psi = N.relations.columns()
+        zero = N.ring.zero
+        for n in range(4):
+            prods = [
+                prod(pick, start=N.ring.one)
+                for pick in combinations_with_replacement(I.generators, n)
+            ]
+            gens = [
+                tuple(p if j == k else zero for j in range(F.rank))
+                for p in prods
+                for k in range(F.rank)
+            ]
+            lo = min(F.twists)
+            hi = max(F.twists) + n * max(I.degrees, default=0) + 3
+            rel_dim = [rank(span_matrix(F, psi, s), field) for s in range(lo, hi + 1)]
+            span = [rank(span_matrix(F, gens + psi, s), field) for s in range(lo, hi + 1)]
+            power = [a - b for a, b in zip(span, rel_dim)]
+            assert hilbert_function(power_module(I, n, N), lo, hi) == power, (name, n)
+            N_dim = hilbert_function(N, lo, hi)
+            assert hilbert_function(quotient_module(N, I, n), lo, hi) == [
+                a - b for a, b in zip(N_dim, power)
+            ], (name, n)
+
+
 def test_unit_ideal_powers_fix_everything():
     A, M, N, I = hypersurface_setup()
     assert I.improper
@@ -83,8 +118,8 @@ def test_improper_matches_membership_of_one():
     rings = [
         Q2,
         Q3,
-        QuotientRing(Q2, [Q2.poly("x1^2")]),
-        QuotientRing(Q3, [Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
+        Q2.quotient([Q2.poly("x1^2")]),
+        Q3.quotient([Q3.poly("x1^2"), Q3.poly("x2^2 - x1*x3")]),
     ]
     answers = []
     for ring in rings:

@@ -39,7 +39,7 @@ from cmreg.resolution import (
     resolve_over_A,
     resolve_over_Q,
 )
-from cmreg.rings import PolyRing, QuotientRing
+from cmreg.rings import PolyRing
 
 
 def test_koszul_betti_numbers():
@@ -217,7 +217,7 @@ def test_minimal_presentation_drops_redundant_generator():
 
 def test_resolve_over_A_hypersurface_periodicity():
     Q = PolyRing(1, GF32003)
-    A = QuotientRing(Q, [Q.poly("x1^2")])
+    A = Q.quotient([Q.poly("x1^2")])
     M = cyclic_quotient(A, ["x1"])
     R = resolve_over_A(M, cap=6)
     assert not R.complete
@@ -247,7 +247,7 @@ def test_repeats_on_the_shipped_problems(name, start, s):
 
 def test_repeats_is_none_on_a_rank_zero_or_complete_tail():
     Q = PolyRing(2, GF32003)
-    A = QuotientRing(Q, [Q.poly("x1*x2")])
+    A = Q.quotient([Q.poly("x1*x2")])
     R = resolve_over_A(free_presentation(A, (0, 2)), cap=5)
     assert [R.repeats(k) for k in range(6)] == [None] * 6
     # A/(x1) over A = K[x1, x2]/(x1*x2) is 2-periodic with shift 2: cut at
@@ -263,7 +263,7 @@ def test_repeats_is_none_on_a_rank_zero_or_complete_tail():
 def test_resolve_over_A_finite_case_terminates():
     # a free module over A resolves in length 0 and is marked complete
     Q = PolyRing(2, GF32003)
-    A = QuotientRing(Q, [Q.poly("x1*x2")])
+    A = Q.quotient([Q.poly("x1*x2")])
     R = resolve_over_A(free_presentation(A, (0, 2)), cap=5)
     assert R.complete
     assert R.length == 0

@@ -13,7 +13,6 @@ from cmreg.errors import HomogeneityError
 from cmreg.fields import GF32003, QQ, PrimeField, _is_prime
 from cmreg.rings import (
     PolyRing,
-    QuotientRing,
     _monomial_quotient_dimension,
     parse_poly,
 )
@@ -146,7 +145,7 @@ def test_monomials_of_degree_match_a_brute_force_filter(nvars):
 
 def test_quotient_normal_form():
     Q = PolyRing(1, GF32003)
-    A = QuotientRing(Q, [Q.poly("x1^2")])
+    A = Q.quotient([Q.poly("x1^2")])
     assert A.poly("x1^2").is_zero()
     assert not A.poly("x1").is_zero()
     assert A.f_degrees == (2,)
@@ -157,7 +156,7 @@ def test_quotient_normal_form():
 
 def test_quotient_std_monomials():
     Q = PolyRing(2, GF32003)
-    A = QuotientRing(Q, [Q.poly("x1^2"), Q.poly("x2^3")])
+    A = Q.quotient([Q.poly("x1^2"), Q.poly("x2^3")])
     assert set(A.std_monomials_of_degree(2)) == {(1, 1), (0, 2)}
     assert A.std_monomials_of_degree(3) == [(1, 2)]
     assert A.std_monomials_of_degree(4) == []
@@ -185,12 +184,35 @@ def test_std_monomials_read_the_relation_leads_once(monkeypatch):
 
 def test_regular_sequence_check():
     Q = PolyRing(2, GF32003)
-    QuotientRing(Q, [Q.poly("x1^2"), Q.poly("x2^3")])
-    QuotientRing(Q, [Q.poly("x1*x2")])
+    Q.quotient([Q.poly("x1^2"), Q.poly("x2^3")])
+    Q.quotient([Q.poly("x1*x2")])
     with pytest.raises(ValueError):
-        QuotientRing(Q, [Q.poly("x1"), Q.poly("x1^2")])
+        Q.quotient([Q.poly("x1"), Q.poly("x1^2")])
     with pytest.raises(ValueError):
-        QuotientRing(Q, [Q.poly("0")])
+        Q.quotient([Q.poly("0")])
+
+
+def test_q_is_its_own_quotient_by_the_empty_sequence():
+    # one ring type: Q/() is Q, so a presentation over it is one over Q,
+    # and A = Q/(z) keeps Q as its base and is equal to any other Q/(z)
+    from helpers import cyclic_quotient
+    from cmreg.regularity import GradedPieces
+    from cmreg.resolution import betti_table, resolve_over_Q
+
+    Q = PolyRing(2, GF32003)
+    Q0 = Q.quotient(())
+    assert Q0 == Q and hash(Q0) == hash(Q) and repr(Q0) == repr(Q)
+    M, M0 = (cyclic_quotient(R, ["x1^2", "x1*x2"]) for R in (Q, Q0))
+    assert betti_table(resolve_over_Q(M0)) == betti_table(resolve_over_Q(M))
+    pieces, pieces0 = GradedPieces(M, 5), GradedPieces(M0, 5)
+    assert [pieces0.dim(s) for s in range(6)] == [pieces.dim(s) for s in range(6)]
+    z = [Q.poly("x1^2"), Q.poly("x2^3")]
+    A = Q.quotient(z)
+    assert A.base is Q and A.relations == tuple(z) and A.f_degrees == (2, 3)
+    assert A == Q.quotient(list(z)) and hash(A) == hash(Q.quotient(tuple(z)))
+    assert A != Q and A != Q.quotient(z[:1]) and Q.quotient(z[:1]).quotient(z[1:]) == A
+    # the element constructors of A build polynomials of Q
+    assert A.one.ring is A.variable(0).ring is A.poly("x1*x2").ring is Q
 
 
 def _subset_dimension(monomials, nvars):
@@ -254,7 +276,7 @@ def test_poly_ring_answers_as_the_empty_quotient(seed):
 
     rng = random.Random(seed)
     for Q in (PolyRing(2), PolyRing(3)):
-        A0 = QuotientRing(Q, [])
+        A0 = Q.quotient([])
         for _ in range(4):
             M = random_presentation(rng, Q)
             rels = M.relations
