@@ -1,9 +1,10 @@
 """Eisenbud operators of a complete intersection A = Q/(z_1..z_c).
 
-A minimal A-free resolution F of M lifts to Q by reading its matrices as
-matrices over Q (the entries are canonical-form polynomials already).  The
-lifted differential no longer squares to zero, but every entry of d~^2
-lies in (z_1..z_c), so
+Every element of A is a polynomial of Q in canonical form, so the matrices
+of a minimal A-free resolution F of M, as they stand, are the standard
+lifting d~ of F to Q.  GradedPoly arithmetic never reduces mod (z), so
+composing two of them gives d~ o d~ over Q: it need not vanish, but every
+entry lies in (z_1..z_c), so
 
     d~ o d~ = sum_j z_j * t~_j
 
@@ -38,34 +39,16 @@ from .groebner import (
     submodule_contains,
     submodule_gb,
 )
-from .resolution import FreeResolution
-
-
-def lift_resolution(R: FreeResolution) -> FreeResolution:
-    """The standard lifting: the matrices of an A-free resolution read over
-    Q = A's base, with the same twists.  d~ o d~ lies in (z) but need not
-    vanish, so the result is usually not a complex."""
-    ring = R.ring
-    if not ring.relations:
-        raise ValueError("lifting expects a resolution over a quotient ring")
-    Q = ring.base
-    modules = [GradedFreeModule(Q, F.twists) for F in R.modules]
-    maps = [
-        GradedMap(modules[l + 1], modules[l], R.maps[l].matrix)
-        for l in range(R.length)
-    ]
-    return FreeResolution(Q, modules, maps, minimal=R.minimal)
 
 
 class CIOperators:
     """The t~_j : F_l -> F_{l-2}(-f_j) for 2 <= l <= length, j in relation
     input order; fs are the deg(z_j) and f = min(fs)."""
 
-    __slots__ = ("resolution", "lifted", "fs", "operators")
+    __slots__ = ("resolution", "fs", "operators")
 
-    def __init__(self, resolution, lifted, fs, operators):
+    def __init__(self, resolution, fs, operators):
         self.resolution = resolution
-        self.lifted = lifted
         self.fs = fs
         self.operators = operators
 
@@ -83,13 +66,12 @@ class CIOperators:
     def identity_holds(self, l) -> bool:
         """Recheck d~_{l-1} o d~_l = sum_j z_j t~_j at level l by direct
         polynomial arithmetic over Q."""
-        comp = self.lifted.d(l - 1).compose(self.lifted.d(l))
-        Q = self.lifted.ring
-        ring = self.resolution.ring
+        R = self.resolution
+        comp = R.d(l - 1).compose(R.d(l))
         for k in range(comp.target.rank):
             for m in range(comp.source.rank):
-                acc = Q.zero
-                for j, z in enumerate(ring.relations):
+                acc = R.ring.base.zero
+                for j, z in enumerate(R.ring.relations):
                     acc = acc + z * self.operators[j][l].matrix[k][m]
                 if not (comp.matrix[k][m] - acc).is_zero():
                     return False
@@ -102,7 +84,6 @@ def eisenbud_operators(R) -> CIOperators:
     if not ring.relations:
         raise ValueError("CI operators need a quotient by a nonempty sequence")
     Q = ring.base
-    L = lift_resolution(R)
     fs = tuple(z.degree for z in ring.relations)
     zmap = GradedMap(
         GradedFreeModule(Q, fs), GradedFreeModule(Q, (0,)), [ring.relations]
@@ -111,7 +92,7 @@ def eisenbud_operators(R) -> CIOperators:
     c = len(fs)
     operators = {j: {} for j in range(c)}
     for l in range(2, R.length + 1):
-        comp = L.d(l - 1).compose(L.d(l))
+        comp = R.d(l - 1).compose(R.d(l))
         mats = [
             [[Q.zero] * comp.source.rank for _ in range(comp.target.rank)]
             for _ in range(c)
@@ -130,9 +111,9 @@ def eisenbud_operators(R) -> CIOperators:
                     mats[j][k][m] = cj
         for j in range(c):
             operators[j][l] = GradedMap(
-                L.module(l), L.module(l - 2).shift(fs[j]), mats[j]
+                R.module(l), R.module(l - 2).shift(fs[j]), mats[j]
             )
-    return CIOperators(R, L, fs, operators)
+    return CIOperators(R, fs, operators)
 
 
 class PresentationMap:

@@ -268,7 +268,8 @@ def buchberger(
     leading term divides another.  A new element from an S-pair of degree above cap aborts
     with DegreeCapExceeded; inputs are exempt.  The product (coprime
     leading monomial) criterion is applied only in ambient rank 1; it is
-    not valid for module leading terms in general.
+    not valid for module leading terms in general.  Only ambient's twists
+    and base ring Q are read, so a free A-module serves as its own Q-copy.
     """
     if order is None:
         order = ModuleOrder(ambient)
@@ -336,8 +337,7 @@ def relation_vectors(F: GradedFreeModule):
 def submodule_gb(gens, F: GradedFreeModule, cap=DEFAULT_DEGREE_CAP):
     """Groebner basis deciding membership in the submodule of F spanned by
     gens, over F's ring (relation multiples are adjoined over a quotient)."""
-    ambient = GradedFreeModule(F.base, F.twists)
-    return buchberger(list(gens) + relation_vectors(F), ambient, cap=cap)
+    return buchberger(list(gens) + relation_vectors(F), F, cap=cap)
 
 
 def submodule_contains(gb: GroebnerBasis, vec) -> bool:
@@ -372,8 +372,7 @@ def minimal_generators(gens, F: GradedFreeModule, modulo=()):
     if not gens:
         return map_from_columns((), F, [])
     fixed = relation_vectors(F) + list(modulo)
-    ambient = GradedFreeModule(F.base, F.twists)
-    gb = buchberger(fixed + list(gens), ambient, cap=None)
+    gb = buchberger(fixed + list(gens), F, cap=None)
     n0 = len(fixed)
     cols = [vec_reduce_entries(F, gens[n - n0]) for n in gb.kept if n >= n0]
     cols.sort(key=lambda g: -vec_degree(F, g))

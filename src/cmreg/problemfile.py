@@ -16,10 +16,10 @@ token it stopped at.  The ring line comes first, with 1 <= d <= MAX_VARS,
 the optional quotient line before any module or ideal; without one (or
 with an empty one) the ring is Q itself, which sweep and verify reject.
 Entries are stored in canonical form in A, so pretty_print o parse_problem
-is the identity on files it emits.  The params keys are imax, nmax (the
-sweep grid) and degree_cap, integers >= 0, and candidates, names of extra
-ideals for rho_upper, each given at most once.  A sweep's homological cap
-is 2*imax + 2, not a parameter.
+is the identity on files it emits (a zero ideal is written 0).  The params
+keys are imax, nmax (the sweep grid) and degree_cap, integers >= 0, and
+candidates, names of extra ideals for rho_upper, each given at most once.
+A sweep's homological cap is 2*imax + 2, not a parameter.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def pretty_print(pf: ProblemFile) -> str:
         if I.improper:
             out.append(f"ideal {name}: unit")
         else:
-            gens = ", ".join(repr(g) for g in I.generators)
+            gens = ", ".join(repr(g) for g in I.generators) or "0"
             out.append(f"ideal {name}: {gens}")
     if pf.params:
         bits = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 from helpers import (
+    ci3_setup,
     hypersurface_setup,
     random_presentation,
     reduced_hypersurface_setup,
@@ -13,13 +14,12 @@ from cmreg.ci_ops import (
     PresentationMap,
     eisenbud_operators,
     induced_on_ext,
-    lift_resolution,
     operators_commute,
 )
 from cmreg.ext_tor import ext
 from cmreg.fields import GF32003
-from cmreg.freemod import GradedMap, free_presentation
-from cmreg.resolution import FreeResolution, resolve_over_A
+from cmreg.freemod import GradedFreeModule, GradedMap, free_presentation
+from cmreg.resolution import resolve_over_A
 from cmreg.rings import PolyRing
 
 
@@ -28,15 +28,32 @@ def _ops(M, cap=6):
     return eisenbud_operators(R)
 
 
-def test_lift_preserves_shape():
-    A, M, N, I = two_relation_setup()
-    R = resolve_over_A(M, cap=5)
-    L = lift_resolution(R)
-    assert isinstance(L, FreeResolution)
-    assert L.ring is A.base
-    assert L.length == R.length
-    for l in range(R.length + 1):
-        assert L.module(l).twists == R.module(l).twists
+def test_composing_over_A_gives_the_products_over_Q():
+    # the A-matrices are the lift d~ as they stand: their composite equals,
+    # entry by entry, the one over Q-copies of the modules carrying the
+    # same matrices, and it need not vanish before reduction mod (z)
+    for setup in (hypersurface_setup, two_relation_setup, reduced_hypersurface_setup, ci3_setup):
+        A, M, N, I = setup()
+        R = resolve_over_A(M, cap=6)
+        Q = A.base
+        lifted = [GradedFreeModule(Q, F.twists) for F in R.modules]
+        d = [None] + [
+            GradedMap(lifted[l], lifted[l - 1], R.d(l).matrix)
+            for l in range(1, R.length + 1)
+        ]
+        nonzero = False
+        for l in range(2, R.length + 1):
+            over_A = R.d(l - 1).compose(R.d(l))
+            over_Q = d[l - 1].compose(d[l])
+            assert over_A.source == R.module(l) and over_A.target == R.module(l - 2)
+            assert over_Q.source.twists == over_A.source.twists
+            assert over_Q.target.twists == over_A.target.twists
+            for row_A, row_Q in zip(over_A.matrix, over_Q.matrix):
+                for a, q in zip(row_A, row_Q):
+                    assert a.ring is q.ring is Q
+                    assert (a - q).is_zero()
+                    nonzero = nonzero or not a.is_zero()
+        assert nonzero
 
 
 def test_factorization_identity_all_setups():

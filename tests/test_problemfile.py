@@ -78,6 +78,25 @@ def test_unit_ideal_and_empty_quotient():
     assert pf.ring.relations == () and pf.ring.base is pf.ring
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ring d=1 char=32003\nideal O: 0\n",
+        "ring d=1 char=32003\nquotient: x1^2\nideal P: x1^2\n",
+    ],
+)
+def test_zero_ideal_round_trips(text):
+    # an ideal with no generators prints as 0, which reads back as itself
+    pf = parse_problem(text)
+    (I,) = pf.ideals.values()
+    assert I.is_zero and not I.improper
+    out = pretty_print(pf)
+    assert out.endswith(": 0\n")
+    again = parse_problem(out)
+    assert all(J.is_zero for J in again.ideals.values())
+    assert pretty_print(again) == out
+
+
 def test_repr_canonical_order():
     pf = parse_problem("ring d=2 char=32003\n")
     q = pf.ring.poly("x2^2 + x1*x2 + x1^2")

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
 
 import pytest
 
 import reference_resolution as ref
 from helpers import (
+    PROBLEM_VARIANTS,
     ci3_setup,
     cyclic_quotient,
     hypersurface_setup,
@@ -15,7 +17,7 @@ from helpers import (
     reduced_hypersurface_setup,
     two_relation_setup,
 )
-from cmreg import resolution
+from cmreg import groebner, resolution
 from cmreg.errors import InternalConsistencyError
 from cmreg.fields import GF32003
 from cmreg.freemod import (
@@ -29,7 +31,14 @@ from cmreg.freemod import (
     vec_mul_poly,
 )
 from cmreg.groebner import minimal_generators
-from cmreg.regularity import betti_oracle, present_over_Q, regularity
+from cmreg.linalg import rank
+from cmreg.regularity import (
+    GradedPieces,
+    betti_oracle,
+    hilbert_function,
+    present_over_Q,
+    regularity,
+)
 from cmreg.resolution import (
     BettiTable,
     FreeResolution,
@@ -243,6 +252,101 @@ def test_repeats_on_the_shipped_problems(name, start, s):
     )
     for k in range(start, R.length):
         assert R.d(k) == R.d(k - 2).shift(s)
+
+
+def _monomial_action(pieces, e, t):
+    """Columns of x^e : A_t -> A_{t+|e|}, one per basis element of A_t,
+    pushed through the composed mult_matrix steps."""
+    f = pieces.field
+    n = pieces.dim(t)
+    cols = [[f.one if r == c else f.zero for r in range(n)] for c in range(n)]
+    for v, x in enumerate(e):
+        for _ in range(x):
+            step = pieces.mult_matrix(v, t)
+            cols = [[reduce(f.add, map(f.mul, row, col), f.zero) for row in step]
+                    for col in cols]
+            t += 1
+    return cols
+
+
+def _piece_matrix(d, pieces, s):
+    """The K-matrix of d: F -> F' in degree s, with (F)_s the sum of the
+    A_{s-a} over F's twists a; entry p acts through its terms."""
+    f = pieces.field
+
+    def offsets(F):
+        dims = [pieces.dim(s - a) for a in F.twists]
+        return [sum(dims[:k]) for k in range(len(dims) + 1)]
+
+    tgt, src = offsets(d.target), offsets(d.source)
+    rows = [[f.zero] * src[-1] for _ in range(tgt[-1])]
+    for k, row in enumerate(d.matrix):
+        for m, p in enumerate(row):
+            for e, c in p.terms.items():
+                action = _monomial_action(pieces, e, s - d.source.twists[m])
+                for j, col in enumerate(action):
+                    for i, x in enumerate(col):
+                        r = rows[tgt[k] + i]
+                        r[src[m] + j] = f.add(r[src[m] + j], f.mul(c, x))
+    return rows
+
+
+def _exactness_defects(R, M):
+    """The degrees s (lowest twist to top twist + 3) where the A-resolution
+    R of M is not exact, by ranks over K: dim (F_0)_s - rank (d_1)_s must be
+    dim M_s, and dim (F_l)_s - rank (d_l)_s - rank (d_{l+1})_s must vanish
+    for 1 <= l < length.  A's pieces come from its presentation over Q."""
+    twists = [a for F in R.modules for a in F.twists]
+    lo, hi = min(twists), max(twists) + 3
+    pieces = GradedPieces(present_over_Q(free_presentation(R.ring, (0,))), hi - lo)
+    hf = hilbert_function(M, lo, hi)
+    defects = []
+    for s in range(lo, hi + 1):
+        dims = [sum(pieces.dim(s - a) for a in F.twists) for F in R.modules]
+        ranks = [None] + [
+            rank(_piece_matrix(R.d(l), pieces, s), pieces.field)
+            for l in range(1, R.length + 1)
+        ]
+        if dims[0] - ranks[1] != hf[s - lo]:
+            defects.append((s, 0))
+        defects += [
+            (s, l) for l in range(1, R.length)
+            if dims[l] - ranks[l] - ranks[l + 1]
+        ]
+    return defects
+
+
+def _exactness_inputs():
+    for name in sorted(PROBLEM_VARIANTS):
+        pf = problem_file(name)
+        yield f"{name}.M", pf.module("M")
+        yield f"{name}.N", pf.module("N")
+    for setup in (hypersurface_setup, two_relation_setup, reduced_hypersurface_setup):
+        yield setup.__name__, setup()[1]
+
+
+def _no_groebner(*args, **kwargs):
+    raise AssertionError("the exactness check made a Groebner call")
+
+
+def test_resolve_over_A_is_exact_by_linear_algebra(monkeypatch):
+    # exactness read off the ranks of each differential on the graded
+    # pieces of A, with no Groebner call in the check; dropping a column of
+    # d_2 (and the matching row of d_3) must show up as a defect
+    for label, M in _exactness_inputs():
+        R = resolve_over_A(M, cap=5)
+        assert R.length >= 2, label
+        mods, maps = list(R.modules), list(R.maps)
+        mods[2] = GradedFreeModule(R.ring, mods[2].twists[1:])
+        maps[1] = GradedMap(mods[2], mods[1], [row[1:] for row in maps[1].matrix])
+        if R.length > 2:
+            maps[2] = GradedMap(mods[3], mods[2], maps[2].matrix[1:])
+        cut = FreeResolution(R.ring, mods, maps)
+        with monkeypatch.context() as m:
+            for fn in ("buchberger", "normal_form"):
+                m.setattr(groebner, fn, _no_groebner)
+            assert _exactness_defects(R, M) == [], label
+            assert _exactness_defects(cut, M), label
 
 
 def test_repeats_is_none_on_a_rank_zero_or_complete_tail():
